@@ -50,7 +50,7 @@ namespace pipad::bench {
 
 struct Flags {
   /// The shared job description (--scale-large, --epochs, --threads,
-  /// --tuner, --replicas, ... — everything api::apply_flag understands).
+  /// --prep, --replicas, ... — everything api::apply_flag understands).
   api::JobSpec job;
 
   std::vector<std::string> datasets;

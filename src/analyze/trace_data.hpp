@@ -33,8 +33,7 @@ struct TraceData {
   std::string method;
 
   /// Per-lane busy time of CpuWorker ops whose name starts with `prefix`
-  /// ("" = all), clipped to [t0, t1) — Timeline::worker_busy_in over the
-  /// captured records.
+  /// ("" = all), clipped to [t0, t1), over the captured records.
   std::vector<double> worker_busy_in(double t0, double t1,
                                      const std::string& prefix = {}) const;
 

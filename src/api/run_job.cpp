@@ -115,8 +115,6 @@ runtime::PipadOptions pipad_options(const JobSpec& o) {
   runtime::PipadOptions popts;
   popts.host_threads = o.threads;  // 0 = HostLane default.
   popts.stream_prep = o.prep != "batch";
-  // Parse cannot fail here: validate() accepted the same vocabulary.
-  runtime::parse_tuner_mode(o.tuner, popts.tuner);
   popts.replicas = o.replicas;
   popts.allreduce = o.allreduce;
   return popts;

@@ -1,5 +1,8 @@
 #include "graph/io/dtdg_file.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +19,15 @@ constexpr long long kMaxNodes = 1LL << 30;
 constexpr long long kMaxSnapshots = 1 << 24;
 constexpr long long kMaxFeatDim = 1 << 20;
 constexpr std::uint32_t kMaxNameLen = 4096;
+
+/// A temp name no other writer of `path` can pick: concurrent cold-cache
+/// loads of one file (serve jobs sharing a --cache-dir) each write their
+/// own temp file and the last rename wins with identical bytes.
+std::string unique_tmp_path(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -52,8 +64,8 @@ void write_dtdg(const DTDG& g, const std::string& path,
   const int S = g.num_snapshots();
   PIPAD_CHECK_MSG(static_cast<int>(g.targets.size()) == S,
                   "DTDG targets/snapshots length mismatch");
-  const std::string tmp = path + ".tmp";
-  {
+  const std::string tmp = unique_tmp_path(path);
+  try {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) throw Error("cannot write " + tmp);
     write_array(os, kDtdgMagic, sizeof(kDtdgMagic));
@@ -105,10 +117,16 @@ void write_dtdg(const DTDG& g, const std::string& path,
     }
     os.flush();
     if (!os) throw Error("write failed: " + tmp);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
+    std::error_code rm_ec;
+    std::filesystem::remove(tmp, rm_ec);
     throw Error("cannot move " + tmp + " to " + path + ": " + ec.message());
   }
 }

@@ -1,7 +1,6 @@
 #include "host/host_lane.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -77,37 +76,26 @@ double HostLane::charge_all(const std::string& name, double wall_us,
 
 std::unique_ptr<HostStream> HostLane::stream(
     std::string name, std::size_t n, std::function<void(std::size_t)> job,
-    std::size_t window, bool adaptive) {
+    std::size_t window) {
   if (window == 0) window = 2 * pool().size();
   window = std::max<std::size_t>(1, window);
   return std::unique_ptr<HostStream>(new HostStream(
-      gpu_, pool(), std::move(name), n, std::move(job), window, adaptive));
-}
-
-std::vector<double> HostLane::occupancy(double t0, double t1,
-                                        const std::string& prefix) const {
-  return gpu_.timeline().worker_busy_in(t0, t1, prefix);
+      gpu_, pool(), std::move(name), n, std::move(job), window));
 }
 
 // ---------------------------------------------------------------- HostStream
 
 HostStream::HostStream(gpusim::Gpu& gpu, ThreadPool& pool, std::string name,
                        std::size_t n, std::function<void(std::size_t)> job,
-                       std::size_t window, bool adaptive)
+                       std::size_t window)
     : gpu_(gpu),
       pool_(pool),
       name_(std::move(name)),
       n_(n),
       job_(std::move(job)),
       window_(window),
-      adaptive_(adaptive),
-      min_window_(std::max<std::size_t>(1, pool.size())),
-      max_window_(4 * std::max<std::size_t>(1, pool.size())),
       end_us_(n, 0.0),
       retired_(n, false) {
-  if (adaptive_) {
-    window_ = std::clamp(window_, min_window_, max_window_);
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   refill_locked();
 }
@@ -145,32 +133,9 @@ void HostStream::submit_next_locked() {
 }
 
 void HostStream::refill_locked() {
-  // In-flight = submitted and not yet retired; top back up to window_,
-  // which may have just grown (adaptive mode).
+  // In-flight = submitted and not yet retired; top back up to window_.
   while (next_submit_ < n_ && next_submit_ - retired_count_ < window_) {
     submit_next_locked();
-  }
-}
-
-void HostStream::adapt_locked(double job_wall_us) {
-  constexpr double kAlpha = 0.25;
-  ewma_job_us_ = have_job_ ? (1.0 - kAlpha) * ewma_job_us_ + kAlpha * job_wall_us
-                           : job_wall_us;
-  have_job_ = true;
-  if (!have_consume_) return;
-  // Keeping every lane fed needs roughly job_time / consume_interval jobs
-  // in flight. When producing one item costs more than the pool-wide
-  // consumption budget for it (lanes x the consumer's inter-wait gap), the
-  // pipeline is extraction-bound: grow the window so more jobs overlap.
-  // When production is comfortably cheaper (2x slack before shrinking, so
-  // the window does not oscillate around the balance point), unconsumed
-  // results would only pile up: shrink back toward the pool width.
-  const double lanes = static_cast<double>(std::max<std::size_t>(1, pool_.size()));
-  const double budget = lanes * ewma_consume_us_;
-  if (ewma_job_us_ > budget && window_ < max_window_) {
-    ++window_;
-  } else if (ewma_job_us_ * 2.0 < budget && window_ > min_window_) {
-    --window_;
   }
 }
 
@@ -185,21 +150,6 @@ void HostStream::retire(const Completion& c) {
 
 double HostStream::wait(std::size_t j) {
   PIPAD_CHECK_MSG(j < n_, "HostStream::wait(" << j << ") of " << n_);
-  if (adaptive_) {
-    // The consumer's inter-wait() interval is its per-item processing
-    // time — the consumption-rate half of the adaptation signal.
-    const auto now = std::chrono::steady_clock::now();
-    if (have_last_wait_) {
-      const double gap_us =
-          std::chrono::duration<double, std::micro>(now - last_wait_).count();
-      ewma_consume_us_ = have_consume_
-                             ? 0.75 * ewma_consume_us_ + 0.25 * gap_us
-                             : gap_us;
-      have_consume_ = true;
-    }
-    last_wait_ = now;
-    have_last_wait_ = true;
-  }
   while (!retired_[j]) {
     Completion c;
     {
@@ -208,7 +158,6 @@ double HostStream::wait(std::size_t j) {
       c = std::move(done_.front());
       done_.pop_front();
       ++retired_count_;
-      if (adaptive_) adapt_locked(c.wall_us);
       // A retired job frees window slots; keep the pipeline primed.
       refill_locked();
     }

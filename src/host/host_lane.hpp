@@ -12,7 +12,6 @@
 // their data.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -81,21 +80,9 @@ class HostLane {
   /// so a long timeline's partition extraction does not pile up unconsumed
   /// results. 0 picks 2x the pool width. Same charging contract as run():
   /// each job's measured wall-clock lands on the lane that executed it.
-  /// With `adaptive` set the window self-tunes between the pool width and
-  /// 4x the pool width from the measured extraction-cost vs
-  /// consumption-rate balance (see HostStream::wait); `window` then only
-  /// sets the starting point.
   std::unique_ptr<HostStream> stream(std::string name, std::size_t n,
                                      std::function<void(std::size_t)> job,
-                                     std::size_t window = 0,
-                                     bool adaptive = false);
-
-  /// Per-lane charged busy time within the sim-time window [t0, t1) of
-  /// worker ops whose name starts with `prefix` ("" = all): the measured
-  /// occupancy the charge-aware tuner folds into decide_sper. Thin wrapper
-  /// over Timeline::worker_busy_in.
-  std::vector<double> occupancy(double t0, double t1,
-                                const std::string& prefix = {}) const;
+                                     std::size_t window = 0);
 
  private:
   gpusim::Gpu& gpu_;
@@ -120,10 +107,6 @@ class HostStream {
   /// in-flight window this bounds how far the stream has run ahead.
   std::size_t retired() const { return retired_count_; }
 
-  /// Current in-flight window. Fixed unless the stream was created
-  /// adaptive, in which case wait() retunes it (consumer-thread view).
-  std::size_t window() const { return window_; }
-
   /// Simulated completion time of job j. Blocks until the job is done;
   /// rethrows the first job exception once the waited job has retired.
   /// The error is sticky: after any job failed, every wait() throws, so
@@ -138,7 +121,7 @@ class HostStream {
   friend class HostLane;
   HostStream(gpusim::Gpu& gpu, ThreadPool& pool, std::string name,
              std::size_t n, std::function<void(std::size_t)> job,
-             std::size_t window, bool adaptive);
+             std::size_t window);
 
   struct Completion {
     std::size_t index;
@@ -149,7 +132,6 @@ class HostStream {
 
   void submit_next_locked();       ///< Enqueue one more job if any remain.
   void refill_locked();            ///< Top the in-flight window back up.
-  void adapt_locked(double job_wall_us);  ///< Retune window_ (adaptive mode).
   void retire(const Completion&);  ///< Charge one completion (consumer thread).
 
   gpusim::Gpu& gpu_;
@@ -157,10 +139,7 @@ class HostStream {
   std::string name_;
   std::size_t n_;
   std::function<void(std::size_t)> job_;
-  std::size_t window_;
-  bool adaptive_ = false;
-  std::size_t min_window_ = 1;  ///< Adaptive bounds: [pool width, 4x].
-  std::size_t max_window_ = 1;
+  const std::size_t window_;
 
   std::mutex mutex_;                  ///< Guards done_, futures_, counters.
   std::condition_variable cv_;
@@ -176,16 +155,6 @@ class HostStream {
   std::vector<double> end_us_;        ///< Sim end per retired job.
   std::vector<bool> retired_;
   std::exception_ptr first_error_;
-
-  // Adaptive-window signal (consumer thread): EWMA of the producers' job
-  // wall time vs the consumer's inter-wait() interval — the extraction
-  // cost vs consumption rate balance.
-  double ewma_job_us_ = 0.0;
-  double ewma_consume_us_ = 0.0;
-  bool have_job_ = false;
-  bool have_consume_ = false;
-  std::chrono::steady_clock::time_point last_wait_{};
-  bool have_last_wait_ = false;
 };
 
 /// Drain the ComputePool's measured kernel regions and charge each to the

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/qsbr.hpp"
 #include "common/timer.hpp"
 #include "host/host_lane.hpp"
 #include "kernels/aggregate.hpp"
@@ -14,6 +13,7 @@
 #include "nn/optim.hpp"
 #include "pipad/offline_analysis.hpp"
 #include "pipad/reuse.hpp"
+#include "pipad/tuner.hpp"
 #include "sliced/partition.hpp"
 #include "tensor/ops.hpp"
 
@@ -26,6 +26,13 @@ using models::TrainConfig;
 using models::TrainResult;
 
 namespace {
+
+/// Epochs trained one snapshot at a time before the steady state (§4.3):
+/// they fill the layer-0 aggregation cache and profile the topology.
+constexpr int kPreparingEpochs = 1;
+/// Host cost per kernel launch on the lean C++ path when CUDA-graph
+/// batching is off.
+constexpr double kFrameworkUsPerLaunch = 2.0;
 
 /// Per-snapshot sliced topology produced by the online graph analyzer (❶).
 struct SlicedSnapshot {
@@ -91,8 +98,7 @@ class PipadExecutor final : public models::FrameExecutor,
     if (opts_.enable_cuda_graph) {
       graph_.add_kernel(name, full);
     } else {
-      gpu_.launch_kernel(compute_, name, full,
-                         opts_.framework_us_per_launch);
+      gpu_.launch_kernel(compute_, name, full, kFrameworkUsPerLaunch);
     }
   }
 
@@ -421,8 +427,6 @@ struct PipadTrainer::Impl {
   std::uint64_t mean_nnz = 0;
   std::size_t per_snapshot_mem = 0;
   int hid = 0;
-  int prep_snapshots = 0;        ///< Snapshot-trainings in preparing epochs.
-  MeasuredOccupancy measured;    ///< Sampled at steady transition (§4.4).
 
   Impl(gpusim::Gpu& g, const graph::DTDG& d, TrainConfig c, PipadOptions o)
       : gpu(g),
@@ -444,13 +448,6 @@ struct PipadTrainer::Impl {
         gpu_buffer(g.device()) {
     hid = c.hidden_dim > 0 ? c.hidden_dim
                            : models::default_hidden_dim(d.feat_dim);
-  }
-
-  ~Impl() {
-    // Run any partition deleters still queued in the QSBR domain before the
-    // trainer's storage goes away, so teardown leaks nothing (ASan) even if
-    // the pool workers never got idle time to reclaim them.
-    Qsbr::instance().drain();
   }
 
   bool needs_topology_steady() const {
@@ -558,11 +555,10 @@ struct PipadTrainer::Impl {
     return it->second;
   }
 
-  /// One-off steady-state preparation (§4.3): sample the preparing epoch's
-  /// charged occupancy for the measured tuner, decide S_per for every
-  /// frame, then extract every needed partition on the worker lanes (❷).
-  /// With stream_prep the extraction jobs are *streamed* in first-use order
-  /// with a bounded in-flight window: the first steady frame's transfers
+  /// One-off steady-state preparation (§4.3): decide S_per for every frame,
+  /// then extract every needed partition on the worker lanes (❷). With
+  /// stream_prep the extraction jobs are *streamed* in first-use order with
+  /// a bounded in-flight window: the first steady frame's transfers
   /// (and the main thread) wait only on the jobs that built its own
   /// partitions, not the whole batch. The legacy path extracts everything
   /// as one batch and blocks the main thread until it drains — which the
@@ -571,7 +567,6 @@ struct PipadTrainer::Impl {
   void prepare_steady(const std::vector<graph::Frame>& frames) {
     if (steady_prepared) return;
     steady_prepared = true;
-    if (opts.tuner == TunerMode::Measured) sample_occupancy();
     std::vector<std::pair<int, int>> keys;
     for (const auto& frame : frames) {
       const int s = decide_sper(frame);
@@ -596,19 +591,11 @@ struct PipadTrainer::Impl {
       stream_parts.assign(keys.size(), {});
       for (std::size_t j = 0; j < keys.size(); ++j) stream_index[keys[j]] = j;
       prep_stream = lane.stream(
-          "overlap-extract", keys.size(),
-          [this](std::size_t j) {
+          "overlap-extract", keys.size(), [this](std::size_t j) {
             stream_parts[j] = sliced::build_partition(
                 data, stream_keys[j].first, stream_keys[j].second,
                 opts.slice_bound);
-          },
-          opts.prep_stream_window > 0
-              ? static_cast<std::size_t>(opts.prep_stream_window)
-              : 0,
-          // An explicit window is a pin (the tuner sweeps depend on it);
-          // otherwise let the stream balance extraction cost against the
-          // measured consumption rate itself.
-          /*adaptive=*/opts.prep_stream_window == 0);
+          });
       return;
     }
 
@@ -629,23 +616,6 @@ struct PipadTrainer::Impl {
     gpu.cpu_wait_until("prepare-steady", batch.end_us);
   }
 
-  /// Measured occupancy sample for the charge-aware tuner: everything the
-  /// preparing epochs charged to the worker lanes (prep jobs + measured
-  /// numeric kernels), minus the one-off dataset ingest, per trained
-  /// snapshot. Derived from charged sim-time — never a wall clock read
-  /// here — so a decision is reproducible given the same charges.
-  void sample_occupancy() {
-    const auto& tl = gpu.timeline();
-    const double t1 = tl.makespan();
-    double host_us = 0.0;
-    for (double v : tl.worker_busy_in(0.0, t1, "prep:")) host_us += v;
-    for (double v : tl.worker_busy_in(0.0, t1, "compute:")) host_us += v;
-    for (double v : tl.worker_busy_in(0.0, t1, "prep:load:")) host_us -= v;
-    measured.snapshots = prep_snapshots;
-    measured.host_us_per_snapshot =
-        prep_snapshots > 0 ? host_us / prep_snapshots : 0.0;
-  }
-
   /// Dynamic tuner (§4.4): pick S_per for a frame (pipad/tuner.hpp has the
   /// decision logic; this builds its inputs from the profiling statistics
   /// and caches per frame start).
@@ -663,7 +633,6 @@ struct PipadTrainer::Impl {
     in.shape.hidden_dim = hid;
     in.shape.slice_bound = opts.slice_bound;
     in.shape.coalesce_num = opts.coalesce_num;
-    in.sper_options = opts.sper_options;
     in.frame_size = frame.size;
     in.enable_pipeline = opts.enable_pipeline;
     in.weight_reuse = opts.enable_weight_reuse && !model->weights_evolve();
@@ -671,10 +640,7 @@ struct PipadTrainer::Impl {
     in.mean_pair_or = mean_pair_or;
     in.per_snapshot_mem = per_snapshot_mem;
     in.device_available = gpu.device().available();
-    in.stall_tolerance = opts.stall_tolerance;
-    in.mode = opts.tuner;
-    in.measured = measured;
-    const int best_s = runtime::decide_sper(gpu.cost(), in).s_per;
+    const int best_s = runtime::decide_sper(gpu.cost(), in);
     decisions[frame.start] = best_s;
     return best_s;
   }
@@ -691,15 +657,10 @@ struct PipadTrainer::Impl {
   /// GPU reuse-buffer budget: what is left after the working set, capped.
   void set_reuse_budget() {
     if (!opts.enable_reuse) return;
-    std::size_t budget = opts.gpu_reuse_budget;
-    if (budget == 0) {
-      const std::size_t working =
-          16 * per_snapshot_mem + (per_snapshot_mem * 8);
-      budget = gpu.device().available() > working
-                   ? (gpu.device().available() - working) / 2
-                   : 0;
-    }
-    gpu_buffer.set_budget(budget);
+    const std::size_t working = 16 * per_snapshot_mem + (per_snapshot_mem * 8);
+    gpu_buffer.set_budget(gpu.device().available() > working
+                              ? (gpu.device().available() - working) / 2
+                              : 0);
   }
 
   TrainResult train() {
@@ -716,7 +677,7 @@ struct PipadTrainer::Impl {
 
     bool first_steady_recorded = false;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const bool prep = epoch < opts.preparing_epochs;
+      const bool prep = epoch < kPreparingEpochs;
       final_epoch = epoch == cfg.epochs - 1;
       if (!prep) prepare_steady(frames);
       for (const auto& frame : frames) {
@@ -727,7 +688,6 @@ struct PipadTrainer::Impl {
           throw Cancelled();
         }
         if (prep) {
-          prep_snapshots += frame.size;
           result.frame_loss.push_back(
               train_prep_frame(frame, params, /*step=*/true));
         } else {
@@ -847,23 +807,19 @@ struct PipadTrainer::Impl {
     // will never be used again.
     gpu_buffer.evict_before(frame.start + 1);
     // Same for host-side partitions, but only in the final epoch (earlier
-    // epochs revisit every frame). Retire rather than free inline: the
-    // deleters run on pool-worker idle time after a QSBR grace period, so
-    // the training thread never stalls on a multi-megabyte deallocation
-    // and any worker still draining a region that touched the buffers is
-    // provably done first.
+    // epochs revisit every frame).
     if (final_epoch) retire_partitions_before(frame.start + 1);
     return loss;
   }
 
-  /// Move every cached partition that ends at or before `bound` out of the
-  /// cache and hand it to the QSBR domain.
+  /// Free every cached partition that ends at or before `bound`. No pool
+  /// worker can still reference one: the kernel regions that read it
+  /// returned only after every block's runner joined, and a streamed
+  /// partition left its stream slot only after HostStream::wait retired
+  /// the job that built it.
   void retire_partitions_before(int bound) {
-    auto& qsbr = Qsbr::instance();
     for (auto it = partition_cache.begin(); it != partition_cache.end();) {
       if (it->first.first + it->first.second <= bound) {
-        auto* stale = new sliced::FramePartition(std::move(it->second));
-        qsbr.retire([stale] { delete stale; });
         partition_ready.erase(it->first);
         it = partition_cache.erase(it);
       } else {
@@ -921,14 +877,13 @@ struct PipadTrainer::Impl {
   }
 
   void begin_epoch(int epoch, const std::vector<graph::Frame>& prep_frames) {
-    step_prep = epoch < opts.preparing_epochs;
+    step_prep = epoch < kPreparingEpochs;
     final_epoch = epoch == cfg.epochs - 1;
     if (!step_prep) prepare_steady(prep_frames);
   }
 
   float grad_frame(const graph::Frame& frame) {
     if (step_prep) {
-      prep_snapshots += frame.size;
       return train_prep_frame(frame, step_params, /*step=*/false);
     }
     const float loss = train_steady_frame(frame, step_params, /*step=*/false);

@@ -9,8 +9,8 @@
 //     while profiling per-snapshot sizes/overlap and filling the CPU-side
 //     layer-0 aggregation cache;
 //   - steady epochs: per frame, the dynamic tuner picks S_per (memory bound,
-//     offline speedup estimate, pipeline-stall rejection — analytic or
-//     measured-occupancy driven, §4.4 / pipad/tuner.hpp), partition
+//     offline speedup estimate, pipeline-stall bottleneck metric — §4.4 /
+//     pipad/tuner.hpp), partition
 //     extraction streams in first-use order on the worker lanes with a
 //     bounded in-flight window, partition data moves over a dedicated copy
 //     stream, the dimension-aware parallel GNN processes each partition
@@ -21,26 +21,23 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gpusim/gpu.hpp"
 #include "graph/dtdg.hpp"
 #include "models/training.hpp"
-#include "pipad/tuner.hpp"
 
 namespace pipad::runtime {
 
 struct PipadOptions {
-  std::vector<int> sper_options = {2, 4, 8};  ///< Finite S_per set (§4.3).
   int slice_bound = 32;        ///< Max nnz per slice (§4.1).
   int coalesce_num = 4;        ///< Max thread groups per warp (§4.2).
-  int preparing_epochs = 1;
   bool enable_reuse = true;        ///< Inter-frame reuse (§4.4).
   bool enable_pipeline = true;     ///< Async partition transfers (§4.3).
   bool enable_cuda_graph = true;   ///< Batched kernel launches (§4.2).
   bool enable_weight_reuse = true; ///< Locality-optimized update (§4.2).
   int forced_sper = 0;             ///< >0 bypasses the tuner (ablations).
-  double framework_us_per_launch = 2.0;  ///< Lean C++ host path.
   /// Width of the process-wide common::ComputePool, which executes both
   /// host-side preparation (slicing, overlap extraction — via
   /// host::HostLane) and the numeric hot path (aggregation, GEMM,
@@ -48,25 +45,11 @@ struct PipadOptions {
   /// charged to the worker lane(s) it ran on. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
-  double stall_tolerance = 1.25;   ///< Transfer/compute ratio the pipeline
-                                   ///< absorbs before an option is rejected.
-  std::size_t gpu_reuse_budget = 0;  ///< 0 = auto (remaining device memory).
-  /// Cost source for the tuner's pipeline-stall rejection: Analytic uses
-  /// the device model alone (the paper's tuner, and the fallback when no
-  /// occupancy sample exists); Measured folds in the prep:*/compute:* lane
-  /// occupancy charged during the preparing epoch (tuner.hpp).
-  TunerMode tuner = TunerMode::Analytic;
   /// Steady-state prep extraction: true streams partitions in first-use
-  /// order with a bounded in-flight window, so the first steady frame waits
-  /// only on its own partition; false restores the one-batch extractor
-  /// (kept for the ablation_tuner comparison).
+  /// order with a bounded in-flight window (2x the pool width), so the
+  /// first steady frame waits only on its own partition; false restores
+  /// the one-batch extractor (kept for the ablation_tuner comparison).
   bool stream_prep = true;
-  /// Max in-flight streamed extractions (backpressure). 0 = adaptive: the
-  /// stream starts at 2x the pool width and self-tunes between 1x and 4x
-  /// from the measured extraction-cost vs consumption-rate balance; a
-  /// positive value pins the window (the ablation/tuner sweeps rely on
-  /// that).
-  int prep_stream_window = 0;
   /// Cooperative cancellation: when non-null and set, training throws
   /// pipad::Cancelled at the next frame (or replica-round) boundary. The
   /// pointee must outlive the trainer; the serve scheduler points it at the
@@ -86,16 +69,6 @@ struct PipadOptions {
   /// reduction is always the canonical fixed-order sum, so the choice can
   /// never change a single bit of the result.
   std::string allreduce = "ring";
-  double link_latency_us = 5.0;    ///< Per all-reduce step latency.
-  double link_gb_per_s = 50.0;     ///< Interconnect bandwidth (NVLink-ish).
-  /// Frames per synchronization round. Gradients of all frames in a round
-  /// are computed at the round-start parameters, reduced in global frame
-  /// order and applied as one optimizer step — a pure function of the frame
-  /// index, so the grouping (and therefore every bit of the result) is
-  /// independent of the replica count. 0 picks 4.
-  int replica_round = 0;
-  /// Max in-flight staged shards per replica infeed queue (0 picks 2).
-  int infeed_window = 0;
 };
 
 class PipadTrainer {

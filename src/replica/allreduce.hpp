@@ -29,7 +29,7 @@ const char* allreduce_name(AllReduceAlgo a);
 /// Parse "ring"/"tree". Returns false on anything else.
 bool parse_allreduce(const std::string& s, AllReduceAlgo& out);
 
-/// Interconnect model (PipadOptions carries the user-facing knobs).
+/// Interconnect model (NVLink-class defaults).
 struct LinkModel {
   double latency_us = 5.0;
   double gb_per_s = 50.0;

@@ -10,7 +10,6 @@
 #include "host/host_lane.hpp"
 #include "nn/parameter.hpp"
 #include "replica/allreduce.hpp"
-#include "replica/infeed.hpp"
 
 namespace pipad::replica {
 
@@ -18,6 +17,16 @@ using gpusim::Resource;
 using models::TrainResult;
 
 namespace {
+
+/// Frames per synchronization round. Gradients of all frames in a round
+/// are computed at the round-start parameters, reduced in global frame
+/// order and applied as one optimizer step — a pure function of the frame
+/// index, so the grouping (and therefore every bit of the result) is
+/// independent of the replica count.
+constexpr int kRoundSize = 4;
+/// Max in-flight staged shards per replica infeed: one being consumed, one
+/// being staged.
+constexpr std::size_t kInfeedWindow = 2;
 
 std::vector<float> flatten_grads(const std::vector<nn::Parameter*>& params) {
   std::size_t total = 0;
@@ -54,7 +63,6 @@ struct ReplicaTrainer::Impl {
   AllReduceAlgo algo = AllReduceAlgo::Ring;
   LinkModel link;
   int K;
-  int round_size;
 
   std::vector<std::unique_ptr<gpusim::Gpu>> extra_gpus;  ///< Replicas 1..K-1.
   std::vector<gpusim::Gpu*> gpus;                        ///< All K.
@@ -64,16 +72,9 @@ struct ReplicaTrainer::Impl {
        runtime::PipadOptions o)
       : gpu0(g), data(d), cfg(c), opts(std::move(o)) {
     K = std::max(1, opts.replicas);
-    round_size = opts.replica_round > 0 ? opts.replica_round : 4;
     PIPAD_CHECK_MSG(parse_allreduce(opts.allreduce, algo),
                     "unknown allreduce algorithm '" << opts.allreduce
                                                     << "' (ring|tree)");
-    PIPAD_CHECK_MSG(opts.tuner != runtime::TunerMode::Measured,
-                    "--tuner=measured samples per-replica occupancy and is "
-                    "not replica-invariant; use the analytic tuner (or "
-                    "forced_sper) with --replicas");
-    link.latency_us = opts.link_latency_us;
-    link.gb_per_s = opts.link_gb_per_s;
 
     gpus.push_back(&gpu0);
     for (int k = 1; k < K; ++k) {
@@ -108,7 +109,7 @@ struct ReplicaTrainer::Impl {
     for (int k = 0; k < K; ++k) frames_ptr = &trainers[k]->begin_steps();
     const std::vector<graph::Frame>& frames = *frames_ptr;
     const std::size_t F = frames.size();
-    const int G = round_size;
+    const int G = kRoundSize;
 
     // Fixed frame -> replica assignment: within-epoch index j goes to
     // replica (j % G) % K. Pure in j, so the grouping is K-invariant.
@@ -121,16 +122,14 @@ struct ReplicaTrainer::Impl {
       assigned[k].push_back(frames[j]);
     }
 
-    // Per-replica infeed: one bounded queue per replica spanning every
-    // epoch; shard (epoch * per_epoch + q) stages the features + targets of
-    // the replica's q-th assigned frame into its slot. Staging is declared
-    // before the queues so in-flight jobs never outlive their slots.
-    const std::size_t window =
-        opts.infeed_window > 0 ? static_cast<std::size_t>(opts.infeed_window)
-                               : 2;
+    // Per-replica infeed: one bounded HostStream per replica spanning
+    // every epoch; shard (epoch * per_epoch + q) stages the features +
+    // targets of the replica's q-th assigned frame into its slot, charged
+    // to the worker lanes as "prep:infeed:r<k>". Staging is declared before
+    // the streams so in-flight jobs never outlive their slots.
     std::vector<std::vector<std::vector<float>>> staging(K);
     std::vector<std::unique_ptr<host::HostLane>> lanes(K);
-    std::vector<std::unique_ptr<InfeedQueue>> infeed(K);
+    std::vector<std::unique_ptr<host::HostStream>> infeed(K);
     for (int k = 0; k < K; ++k) {
       const std::size_t per_epoch = assigned[k].size();
       const std::size_t shards =
@@ -143,12 +142,13 @@ struct ReplicaTrainer::Impl {
       auto* stage_k = &staging[k];
       const auto* frames_k = &assigned[k];
       const graph::DTDG* d = &data;
-      // Built with += (not `"r" + std::to_string(k)`) to dodge a gcc-12
-      // -Werror=restrict false positive on char*+string&& (GCC PR105329).
-      std::string infeed_name = "r";
+      // Built with += (not `"infeed:r" + std::to_string(k)`) to dodge a
+      // gcc-12 -Werror=restrict false positive on char*+string&& (GCC
+      // PR105329).
+      std::string infeed_name = "infeed:r";
       infeed_name += std::to_string(k);
-      infeed[k] = std::make_unique<InfeedQueue>(
-          *lanes[k], std::move(infeed_name), shards,
+      infeed[k] = lanes[k]->stream(
+          std::move(infeed_name), shards,
           [stage_k, frames_k, d, per_epoch](std::size_t shard) {
             // The staged shard is the pinned-host copy a real infeed would
             // build: the frame's raw features and targets. Consumers keep
@@ -164,7 +164,7 @@ struct ReplicaTrainer::Impl {
               buf.insert(buf.end(), targ.begin(), targ.end());
             }
           },
-          window);
+          kInfeedWindow);
     }
 
     const std::size_t grad_bytes =
@@ -184,7 +184,7 @@ struct ReplicaTrainer::Impl {
       for (std::size_t r0 = 0; r0 < F; r0 += static_cast<std::size_t>(G)) {
         if (opts.cancel != nullptr &&
             opts.cancel->load(std::memory_order_relaxed)) {
-          // Round boundary: the infeed queues drain through their
+          // Round boundary: the infeed streams drain through their
           // destructors, so cancelling never leaks staged shards.
           throw Cancelled();
         }

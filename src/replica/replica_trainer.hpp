@@ -3,14 +3,14 @@
 // K PipadTrainers — each with its own simulated Gpu/Timeline (replica 0
 // runs on the caller's Gpu so `pipad trace`/`analyze` keep working
 // unchanged) — run the existing pipelined epoch over disjoint frame
-// subsets, fed by per-replica bounded infeed queues, and synchronize
+// subsets, fed by per-replica bounded infeed streams, and synchronize
 // through a gradient all-reduce charged to each replica's Resource::Link
 // lane.
 //
 // Determinism argument (the repo's wall — bit-identical losses and params
 // for ANY --replicas x --threads combination):
-//   - Frames are grouped into rounds of a fixed size G (PipadOptions::
-//     replica_round) that never depends on K. Every frame's gradient is
+//   - Frames are grouped into rounds of a fixed size G (4) that never
+//     depends on K. Every frame's gradient is
 //     computed at the round-start parameters — no replica steps its
 //     optimizer mid-round — so the per-frame gradients are pure functions
 //     of (dataset, round-start params, frame).
@@ -25,8 +25,7 @@
 //     parameters with its own (position-keyed, therefore lockstep) Adam,
 //     so replicas never diverge and replica 0's model IS the result.
 //   - Tuner inputs (profiling statistics) are computed over the FULL epoch
-//     frame list per replica, and the measured-occupancy tuner — whose
-//     inputs are genuinely replica-dependent — is rejected up front.
+//     frame list per replica.
 #pragma once
 
 #include <memory>
@@ -40,10 +39,8 @@ namespace pipad::replica {
 
 class ReplicaTrainer {
  public:
-  /// opts.replicas >= 1 selects K; the other replica knobs (allreduce,
-  /// link_latency_us, link_gb_per_s, replica_round, infeed_window) shape
-  /// the schedule. Throws Error on opts.tuner == Measured (not
-  /// replica-invariant) or an unknown allreduce name.
+  /// opts.replicas >= 1 selects K; opts.allreduce picks the interconnect
+  /// timing model. Throws Error on an unknown allreduce name.
   ReplicaTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                  models::TrainConfig cfg, runtime::PipadOptions opts = {});
   ~ReplicaTrainer();

@@ -148,7 +148,6 @@ JobSpec full_spec() {
   s.frame_size = 4;
   s.frames = 2;
   s.threads = 2;
-  s.tuner = "measured";
   s.prep = "batch";
   s.replicas = 0;
   s.allreduce = "tree";
@@ -187,7 +186,6 @@ TEST(JobSpec, JsonRoundTripIsLossless) {
   EXPECT_EQ(back.frame_size, s.frame_size);
   EXPECT_EQ(back.frames, s.frames);
   EXPECT_EQ(back.threads, s.threads);
-  EXPECT_EQ(back.tuner, s.tuner);
   EXPECT_EQ(back.prep, s.prep);
   EXPECT_EQ(back.replicas, s.replicas);
   EXPECT_EQ(back.allreduce, s.allreduce);
@@ -224,6 +222,17 @@ TEST(JobSpec, FromJsonIsStrict) {
   EXPECT_EQ(error, "job spec must be a JSON object");
 }
 
+TEST(JobSpec, FromJsonRejectsTheRemovedTunerField) {
+  // The S_per tuner has one (analytic) mode, so the wire has no "tuner"
+  // field: an old client that still sends it is told so, not ignored.
+  JobSpec out;
+  std::string error;
+  EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"tuner":"analytic"})"),
+                                  out, error));
+  EXPECT_EQ(error, "unknown job spec field \"tuner\"");
+  EXPECT_EQ(JobSpec().to_json().find("tuner"), nullptr);
+}
+
 TEST(JobSpec, FromJsonRejectsIntOverflowLikeTheFlagPath) {
   // 2^32 + 1 truncates to 1 through a bare static_cast<int> — it must be
   // an error, not a spec that validates cleanly, matching what
@@ -257,18 +266,13 @@ TEST(JobSpec, ParseJobSpecAcceptsBothFlagForms) {
 }
 
 TEST(JobSpec, ValidateOwnsTheReplicaRules) {
-  // The --replicas/--allreduce/--tuner=measured constraints moved out of
-  // the CLI into the shared validator, so the daemon enforces them on
-  // JSON-built specs too.
+  // The --replicas/--allreduce constraints moved out of the CLI into the
+  // shared validator, so the daemon enforces them on JSON-built specs too.
   JobSpec s;
   s.replicas = 2;
   s.runtime = "pygt";
   EXPECT_NE(s.validate().find("--runtime pipad"), std::string::npos);
   s.runtime = "pipad";
-  EXPECT_EQ(s.validate(), "");
-  s.tuner = "measured";
-  EXPECT_NE(s.validate().find("replica"), std::string::npos);
-  s.replicas = 0;
   EXPECT_EQ(s.validate(), "");
   s.replicas = 65;
   EXPECT_NE(s.validate().find("--replicas"), std::string::npos);

@@ -90,18 +90,6 @@ TEST(CliParse, UnknownRuntimeIsAnError) {
   EXPECT_FALSE(parse({"train", "--runtime", "cuda"}).ok);
 }
 
-TEST(CliParse, TunerModesAcceptedAndValidated) {
-  EXPECT_EQ(parse({"train"}).options.job.tuner, "analytic");
-  for (const char* t : {"analytic", "measured"}) {
-    const auto r = parse({"train", "--tuner", t});
-    ASSERT_TRUE(r.ok) << t << ": " << r.error;
-    EXPECT_EQ(r.options.job.tuner, t);
-  }
-  const auto bad = parse({"train", "--tuner", "oracle"});
-  EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("oracle"), std::string::npos);
-}
-
 TEST(CliParse, ReplicaFlagsLandAndValidate) {
   const auto r = parse({"train", "--replicas", "4", "--allreduce", "tree"});
   ASSERT_TRUE(r.ok) << r.error;
@@ -119,18 +107,13 @@ TEST(CliParse, ReplicaFlagsLandAndValidate) {
 }
 
 TEST(CliParse, ReplicasRequirePipadRuntimeAndAnalyticTuner) {
+  // The analytic tuner is the only one, so --replicas needs just the
+  // pipad runtime.
   EXPECT_TRUE(parse({"train", "--replicas", "2"}).ok);
   EXPECT_TRUE(parse({"bench", "--replicas", "2"}).ok);
   const auto pygt = parse({"train", "--runtime", "pygt", "--replicas", "2"});
   EXPECT_FALSE(pygt.ok);
   EXPECT_NE(pygt.error.find("--runtime pipad"), std::string::npos);
-  // The measured-occupancy tuner's inputs are replica-dependent, so the
-  // combination is rejected up front rather than silently non-reproducible.
-  const auto measured =
-      parse({"train", "--replicas", "2", "--tuner", "measured"});
-  EXPECT_FALSE(measured.ok);
-  EXPECT_NE(measured.error.find("replica"), std::string::npos);
-  EXPECT_TRUE(parse({"train", "--tuner", "measured"}).ok);
 }
 
 TEST(CliUsage, MentionsReplicaFlags) {
@@ -228,10 +211,6 @@ TEST(CliUsage, MentionsEveryAcceptedDataset) {
   EXPECT_NE(u.find("--snapshot-window"), std::string::npos);
   EXPECT_NE(u.find("--cache-dir"), std::string::npos);
   EXPECT_NE(u.find("--log-level"), std::string::npos);
-  // The tuner flag and both its modes must be documented.
-  EXPECT_NE(u.find("--tuner"), std::string::npos);
-  EXPECT_NE(u.find("analytic"), std::string::npos);
-  EXPECT_NE(u.find("measured"), std::string::npos);
 }
 
 TEST(CliParse, FileDatasetFlagsLand) {
@@ -429,8 +408,9 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
             bench_error({"--model=transformer"}));
   EXPECT_EQ(cli_error({"train", "--runtime", "cuda"}),
             bench_error({"--runtime=cuda"}));
-  EXPECT_EQ(cli_error({"train", "--tuner", "oracle"}),
-            bench_error({"--tuner=oracle"}));
+  // The removed tuner flag is unknown on both surfaces.
+  EXPECT_EQ(cli_error({"train", "--tuner=analytic"}),
+            bench_error({"--tuner=analytic"}));
   EXPECT_EQ(cli_error({"train", "--epochs", "0"}),
             bench_error({"--epochs=0"}));
   EXPECT_EQ(cli_error({"train", "--replicas", "65"}),
@@ -445,8 +425,6 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
   // bench surface runs the same JobSpec::validate().
   EXPECT_EQ(cli_error({"train", "--runtime", "pygt", "--replicas", "2"}),
             bench_error({"--runtime=pygt", "--replicas=2"}));
-  EXPECT_EQ(cli_error({"train", "--replicas", "2", "--tuner", "measured"}),
-            bench_error({"--replicas=2", "--tuner=measured"}));
 }
 
 TEST(CliBenchParity, GoodSharedInputsLandIdentically) {

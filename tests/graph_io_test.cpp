@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -539,6 +540,42 @@ TEST(DtdgFile, WeightedWriteReadRoundTripsBitExact) {
   write_dtdg(g0, p, 7u);
   const DTDG g1 = read_dtdg(p);
   expect_same_dtdg(g0, g1);
+}
+
+TEST(DtdgFile, ConcurrentWritersOfOnePathAllSucceed) {
+  // Concurrent cold-cache loads of one dataset all write its .dtdg: each
+  // writer needs its own temp file, or one rename finds the other's temp
+  // already moved away.
+  const auto dir = temp_dir();
+  const DTDG g0 = generate(small_cfg());
+  const auto p = (dir / "shared.dtdg").string();
+  constexpr int kWriters = 8;
+  std::vector<std::string> errors(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      try {
+        write_dtdg(g0, p, 42u);
+      } catch (const std::exception& e) {
+        errors[w] = e.what();
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  for (int w = 0; w < kWriters; ++w) EXPECT_EQ(errors[w], "") << w;
+  expect_same_dtdg(g0, read_dtdg(p));
+  // Every temp file was renamed away.
+  for (const auto& e : fs::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename().string(), "shared.dtdg");
+  }
+}
+
+TEST(DtdgFile, FailedWriteLeavesNoTempFile) {
+  const auto dir = temp_dir();
+  DTDG g0 = generate(small_cfg());
+  g0.targets.back() = Tensor(1, 1);  // Shape mismatch, caught mid-write.
+  EXPECT_THROW(write_dtdg(g0, (dir / "bad.dtdg").string(), 1u), Error);
+  EXPECT_TRUE(fs::is_empty(dir));
 }
 
 TEST(DtdgFile, MalformedFilesRejected) {

@@ -1,29 +1,20 @@
 // replica/ tests: the bitwise-determinism wall around replicated
 // data-parallel training (losses and params identical for ANY
-// --replicas x --threads combination), the per-replica bounded infeed
-// queue (backpressure, out-of-order waits, teardown drain, sticky
-// failures — the same wall tuner_test builds around HostStream), and the
-// all-reduce unit surface (canonical reduction numerics, interconnect
-// timing formulas).
+// --replicas x --threads combination) and the all-reduce unit surface
+// (canonical reduction numerics, interconnect timing formulas).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "gpusim/gpu.hpp"
 #include "graph/generator.hpp"
-#include "host/host_lane.hpp"
 #include "models/training.hpp"
 #include "pipad/pipad_trainer.hpp"
 #include "replica/allreduce.hpp"
-#include "replica/infeed.hpp"
 #include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
@@ -151,17 +142,25 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
   EXPECT_DOUBLE_EQ(r.total_us, max_total);
 
   // Every replica's timeline carries "comm:allreduce:<algo>" ops on the
-  // Link lane; replica 0 runs on the caller's Gpu.
+  // Link lane and its own infeed staging on the worker lanes; replica 0
+  // runs on the caller's Gpu.
   EXPECT_EQ(&trainer.replica_timeline(0), &gpu.timeline());
   for (int k = 0; k < 3; ++k) {
     SCOPED_TRACE(k);
+    const std::string infeed = "prep:infeed:r" + std::to_string(k);
     int link_ops = 0;
+    int infeed_ops = 0;
     for (const auto& rec : trainer.replica_timeline(k).records()) {
+      if (rec.name == infeed) {
+        EXPECT_EQ(rec.resource, Resource::CpuWorker);
+        ++infeed_ops;
+      }
       if (rec.resource != Resource::Link) continue;
       ++link_ops;
       EXPECT_EQ(rec.name.rfind("comm:allreduce:ring", 0), 0u) << rec.name;
     }
     EXPECT_GT(link_ops, 0);
+    EXPECT_GT(infeed_ops, 0);
   }
 }
 
@@ -181,20 +180,6 @@ TEST(ReplicaResult, SingleReplicaNeverTouchesTheLink) {
   }
 }
 
-TEST(ReplicaTrainerCtor, RejectsTheMeasuredTuner) {
-  const auto g = graph::generate(tiny_config(40, 8, 3));
-  gpusim::Gpu gpu;
-  runtime::PipadOptions opts;
-  opts.replicas = 2;
-  opts.tuner = runtime::TunerMode::Measured;
-  EXPECT_THROW(
-      {
-        replica::ReplicaTrainer t(gpu, g, small_cfg(models::ModelType::TGcn),
-                                  opts);
-      },
-      Error);
-}
-
 TEST(ReplicaTrainerCtor, RejectsUnknownAllreduceAlgorithms) {
   const auto g = graph::generate(tiny_config(40, 8, 3));
   gpusim::Gpu gpu;
@@ -207,101 +192,6 @@ TEST(ReplicaTrainerCtor, RejectsUnknownAllreduceAlgorithms) {
                                   opts);
       },
       Error);
-}
-
-// ---------- InfeedQueue: the HostStream wall, on the replica seam ----------
-
-TEST(InfeedQueue, StagesEveryShardAndChargesTheLanes) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::vector<int> out(8, 0);
-  replica::InfeedQueue q(lane, "r0", 8, [&](std::size_t i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    out[i] = static_cast<int>(i) + 1;
-  });
-  EXPECT_EQ(q.size(), 8u);
-  EXPECT_EQ(q.window(), 2u);  // window=0 picks 2.
-  for (std::size_t j = 0; j < 8; ++j) EXPECT_GT(q.wait(j), 0.0);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i + 1);
-  EXPECT_EQ(q.retired(), 8u);
-  // Staging cost lands on the worker lanes under the infeed name.
-  int infeed_ops = 0;
-  for (const auto& rec : gpu.timeline().records()) {
-    ASSERT_EQ(rec.resource, Resource::CpuWorker);
-    EXPECT_EQ(rec.name.rfind("prep:infeed:r0", 0), 0u) << rec.name;
-    ++infeed_ops;
-  }
-  EXPECT_EQ(infeed_ops, 8);
-}
-
-TEST(InfeedQueue, WindowBoundsInFlightShards) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  constexpr std::size_t kWindow = 3;
-  std::atomic<int> started{0};
-  replica::InfeedQueue q(
-      lane, "r0", 12,
-      [&](std::size_t) {
-        started.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      kWindow);
-  for (std::size_t j = 0; j < 12; ++j) {
-    q.wait(j);
-    // Backpressure: the producer never runs ahead of the consumer by more
-    // than the in-flight window, so a long timeline cannot pile up staged
-    // feature copies.
-    EXPECT_LE(static_cast<std::size_t>(started.load()),
-              q.retired() + kWindow);
-  }
-  EXPECT_EQ(started.load(), 12);
-  EXPECT_EQ(q.retired(), 12u);
-}
-
-TEST(InfeedQueue, OutOfOrderWaitStillDrains) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::atomic<int> ran{0};
-  replica::InfeedQueue q(
-      lane, "r0", 6, [&](std::size_t) { ran.fetch_add(1); }, 2);
-  // Waiting on the last shard first forces the whole window-refill path.
-  EXPECT_GT(q.wait(5), 0.0);
-  EXPECT_EQ(ran.load(), 6);
-  for (std::size_t j = 0; j < 6; ++j) EXPECT_GT(q.wait(j), 0.0);
-}
-
-TEST(InfeedQueue, DestructorDrainsUnconsumedShards) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::atomic<int> ran{0};
-  {
-    replica::InfeedQueue q(
-        lane, "r0", 10, [&](std::size_t) { ran.fetch_add(1); }, 4);
-    q.wait(0);
-  }  // Dtor must retire the rest; jobs reference `ran` on this frame.
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(InfeedQueue, RethrowsTheFirstStagingFailureFromWait) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::atomic<int> ran{0};
-  replica::InfeedQueue q(
-      lane, "r0", 6,
-      [&](std::size_t i) {
-        ran.fetch_add(1);
-        if (i == 2) throw std::runtime_error("shard failed");
-      },
-      2);
-  EXPECT_THROW(
-      {
-        for (std::size_t j = 0; j < 6; ++j) q.wait(j);
-      },
-      std::runtime_error);
-  EXPECT_EQ(ran.load(), 6);  // The failure drained, not wedged, the queue.
-  // Sticky: a failed shard can never be consumed as if it succeeded.
-  EXPECT_THROW(q.wait(2), std::runtime_error);
-  EXPECT_THROW(q.wait(5), std::runtime_error);
 }
 
 // ---------- All-reduce unit wall ----------

@@ -5,7 +5,6 @@
 // shorthands.
 #pragma once
 
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -182,19 +181,15 @@ inline std::pair<std::vector<float>, std::vector<float>> train_snapshot(
   return {r.frame_loss, flat_params(pip.model())};
 }
 
-/// Train the long config with streaming or batch prep under a tuner mode.
+/// Train the long config with streaming or batch prep.
 inline models::TrainResult train_long(const graph::DTDG& g, bool stream_prep,
-                                      runtime::TunerMode mode, int threads,
-                                      std::map<int, int>* decisions = nullptr) {
+                                      int threads) {
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.stream_prep = stream_prep;
-  opts.tuner = mode;
   opts.host_threads = threads;
   runtime::PipadTrainer pip(gpu, g, long_cfg(), opts);
-  const auto r = pip.train();
-  if (decisions != nullptr) *decisions = pip.sper_decisions();
-  return r;
+  return pip.train();
 }
 
 /// Generated DTDG with deterministic per-snapshot edge weights: a pure
