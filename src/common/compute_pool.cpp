@@ -199,7 +199,8 @@ void ComputePool::run_ranges(const char* name, const Ranges& ranges,
   if (ranges.empty()) return;
   ThreadPool& candidate = pool();
   const std::size_t width = candidate.size();
-  // A nested region (we *are* a worker of this pool) must run inline —
+  // A nested region (we *are* a worker of this pool, or the launching
+  // thread inside a block of its own region) must run inline —
   // submitting would risk deadlock — and must not record: the enclosing
   // job/region already accounts for its cost.
   const bool nested = ThreadPool::current_pool() == &candidate;
@@ -223,10 +224,10 @@ void ComputePool::run_ranges(const char* name, const Ranges& ranges,
   }
 
   // Work-stealing dispatch: blocks preloaded on per-slot deques, one
-  // runner per slot (ThreadPool::run_blocks). Each block measures its own
-  // cost into a private slot — pool workers run one block at a time and
-  // the main thread reads only after the runners join, so no lock is
-  // needed.
+  // runner per slot, slot 0 on this thread (ThreadPool::run_blocks). Each
+  // block measures its own cost into a private slot — each runner runs one
+  // block at a time and this thread reads only after the runners join, so
+  // no lock is needed.
   std::vector<double> block_us(ranges.size(), 0.0);
   ThreadPool::StealStats st{};
   std::exception_ptr first;

@@ -8,12 +8,13 @@
 // partitioning of a region depends only on the problem size and a
 // per-process calibration constant — never on the pool width — and every
 // block writes disjoint output rows/elements, so results are bit-identical
-// for any thread count (including the inline serial fallback). Which worker
-// *executes* a block is dynamic: regions run through per-worker Chase-Lev
-// deques with randomized-victim work stealing (ThreadPool::run_blocks), so
-// a skewed block distribution no longer idles the other workers.
-// Reductions whose rounding depends on combine order (losses, norms) stay
-// serial in their callers.
+// for any thread count (including the inline serial fallback). Which thread
+// *executes* a block is dynamic: regions run through per-slot Chase-Lev
+// deques with randomized-victim work stealing (ThreadPool::run_blocks; the
+// launching thread runs slot 0, the workers the rest), so a skewed block
+// distribution no longer idles the other workers.
+// Reductions whose rounding depends on combine order (losses) stay serial
+// in their callers.
 //
 // Each region's blocks are measured individually (thread-CPU time) and
 // placed onto per-lane cost bins (aggregated per kernel name) so trainers
@@ -130,7 +131,8 @@ class ComputePool {
 
   /// Regions measured since the last drain, keyed by kernel name. The
   /// accumulator is thread-local: a region is recorded on the thread that
-  /// launched it (the trainer thread — workers only execute blocks), and
+  /// launched it (the trainer thread; blocks record nothing wherever they
+  /// run, since regions nested in a block run inline), and
   /// trainers drain on that same thread, so concurrent jobs sharing the
   /// pool each see exactly their own charges (the isolation `pipad serve`
   /// relies on). Draining from a different thread than the one that ran

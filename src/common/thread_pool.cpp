@@ -14,6 +14,23 @@ namespace {
 thread_local std::size_t tl_worker_index = ThreadPool::npos;
 thread_local const ThreadPool* tl_pool = nullptr;
 
+/// Marks the calling thread as executing blocks of `pool` for the guard's
+/// lifetime: nested regions and submits it issues then take the same
+/// inline/reject path they take on a worker. Restores the previous value on
+/// every exit, including a rethrown block exception.
+class CurrentPoolGuard {
+ public:
+  explicit CurrentPoolGuard(const ThreadPool* pool) : saved_(tl_pool) {
+    tl_pool = pool;
+  }
+  ~CurrentPoolGuard() { tl_pool = saved_; }
+  CurrentPoolGuard(const CurrentPoolGuard&) = delete;
+  CurrentPoolGuard& operator=(const CurrentPoolGuard&) = delete;
+
+ private:
+  const ThreadPool* saved_;
+};
+
 /// xorshift64*: cheap per-runner victim randomization. Seeded from the slot
 /// index only — victim order varies run to run with timing anyway, and a
 /// deterministic seed keeps the executor free of global RNG state.
@@ -165,9 +182,12 @@ ThreadPool::StealStats ThreadPool::run_blocks(
     }
   };
 
+  // The caller runs slot 0 itself instead of sleeping on a future: one
+  // runner fewer to dispatch and wake, and the region starts on a thread
+  // that is already running.
   std::vector<std::future<void>> futs;
-  futs.reserve(slots);
-  for (std::size_t s = 0; s < slots; ++s) {
+  futs.reserve(slots - 1);
+  for (std::size_t s = 1; s < slots; ++s) {
     try {
       futs.push_back(submit([&runner, s] { runner(s); }));
     } catch (...) {
@@ -177,6 +197,10 @@ ThreadPool::StealStats ThreadPool::run_blocks(
       break;
     }
   }
+  // From here on the caller executes blocks, so it counts as a thread of
+  // this pool (after the submits above, which the guard would reject).
+  const CurrentPoolGuard guard(this);
+  runner(0);
   for (auto& f : futs) f.get();  // Runners trap fn's exceptions themselves.
   // Every block must run exactly once even if some runner never started
   // (shutdown race) or stealing was off: claim leftovers through the

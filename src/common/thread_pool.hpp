@@ -12,12 +12,15 @@
 //   - run_blocks() executes a *region* of fine-grained blocks through
 //     per-worker Chase-Lev deques with randomized-victim work stealing: the
 //     launching thread preloads one deque per runner slot (round-robin, a
-//     pure function of the block count), submits one runner task per slot
-//     through the injector, and each runner drains its own deque LIFO and
-//     then steals FIFO from random victims. Which worker executes a block
-//     is dynamic — skewed blocks no longer idle the other workers — but
-//     the *set* of blocks never depends on the pool width, which is what
-//     keeps region outputs bit-identical across thread counts.
+//     pure function of the block count), submits runner tasks for slots
+//     1..n-1 through the injector and runs slot 0 itself; each runner
+//     drains its own deque LIFO and then steals FIFO from random victims.
+//     Which thread executes a block is dynamic — skewed blocks no longer
+//     idle the other workers — but the *set* of blocks never depends on
+//     the pool width, which is what keeps region outputs bit-identical
+//     across thread counts. While the caller runs blocks it counts as a
+//     thread of the pool (current_pool()), so regions nested inside a
+//     block run inline wherever that block landed.
 #pragma once
 
 #include <condition_variable>
@@ -52,10 +55,11 @@ class ThreadPool {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static std::size_t worker_index();
 
-  /// The pool the current thread is a worker of, or nullptr for external
-  /// threads. Callers that might run on a pool worker (nested parallel
-  /// regions) use this to fall back to inline execution instead of
-  /// deadlocking on their own pool.
+  /// The pool the current thread is a worker of (or is running
+  /// run_blocks() slot 0 for), or nullptr for external threads. Callers
+  /// that might run on a pool worker (nested parallel regions) use this to
+  /// fall back to inline execution instead of deadlocking on their own
+  /// pool.
   static const ThreadPool* current_pool();
 
   /// Enqueue a task; the returned future yields its result (or rethrows the
@@ -113,7 +117,10 @@ class ThreadPool {
   /// share (the contention_pool bench compares the two). Blocks must write
   /// disjoint state. Waits for completion; the first exception any block
   /// threw is rethrown after the region drains (remaining blocks still
-  /// run). Must not be called from a worker of this pool — run nested
+  /// run). With two or more slots the calling thread executes slot 0 and,
+  /// for the region, reports this pool as its current_pool(); a one-slot
+  /// region runs inline as plain caller code. Must not be called from a
+  /// worker of this pool (or from inside one of its blocks) — run nested
   /// regions inline, like submit().
   StealStats run_blocks(std::size_t n,
                         const std::function<void(std::size_t)>& fn,

@@ -1,5 +1,7 @@
 #include "models/tgcn.hpp"
 
+#include <cmath>
+
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
 
@@ -25,25 +27,57 @@ TGcn::TGcn(int in_dim, int hidden_dim, Rng& rng)
 Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
                   const Tensor& h_prev, StepCache& cache,
                   kernels::KernelRecorder* rec) {
+  const int rows = h_prev.rows();
+  const int hd = hid_;
+  PIPAD_CHECK_MSG(h_prev.cols() == hd && uz.same_shape(h_prev) &&
+                      ur.same_shape(h_prev) && un.same_shape(h_prev),
+                  "T-GCN step shape mismatch: h " << h_prev.shape_str()
+                                                  << " u " << uz.shape_str());
   cache.h_prev = h_prev;
-  Tensor az = hz_.forward(h_prev, rec, "rnn.tgcn.hz");
-  ops::add_inplace(az, uz);
-  Tensor ar = hr_.forward(h_prev, rec, "rnn.tgcn.hr");
-  ops::add_inplace(ar, ur);
-  cache.z = ops::sigmoid(az);
-  cache.r = ops::sigmoid(ar);
+  const Tensor az = hz_.forward_gemm(h_prev, rec, "rnn.tgcn.hz");
+  const Tensor ar = hr_.forward_gemm(h_prev, rec, "rnn.tgcn.hr");
 
-  cache.rh = ops::mul(cache.r, h_prev);
-  Tensor an = hn_.forward(cache.rh, rec, "rnn.tgcn.hn");
-  ops::add_inplace(an, un);
-  cache.n = ops::tanh(an);
+  // Gates: z = σ((h U_z + b_z) + u_z), r likewise, and r ⊙ h_prev. The
+  // bias and input adds keep add_bias's and add_inplace's `a + 1.0f * b`.
+  // Each fused pass quotes its work as the elements it writes.
+  cache.z = Tensor(rows, hd);
+  cache.r = Tensor(rows, hd);
+  cache.rh = Tensor(rows, hd);
+  const float* bz = hz_.bias().value.row(0);
+  const float* br = hr_.bias().value.row(0);
+  ops::par_rows("elementwise", rows, 3 * cache.z.size(), [&](int i) {
+    const float* azr = az.row(i);
+    const float* arr = ar.row(i);
+    const float* uzr = uz.row(i);
+    const float* urr = ur.row(i);
+    const float* hp = h_prev.row(i);
+    float* z = cache.z.row(i);
+    float* r = cache.r.row(i);
+    float* rh = cache.rh.row(i);
+    for (int j = 0; j < hd; ++j) {
+      z[j] = ops::sigmoid((azr[j] + bz[j]) + 1.0f * uzr[j]);
+      r[j] = ops::sigmoid((arr[j] + br[j]) + 1.0f * urr[j]);
+      rh[j] = r[j] * hp[j];
+    }
+  });
 
-  Tensor h(h_prev.rows(), hid_);
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    const float z = cache.z.data()[i];
-    h.data()[i] =
-        (1.0f - z) * cache.n.data()[i] + z * h_prev.data()[i];
-  }
+  const Tensor an = hn_.forward_gemm(cache.rh, rec, "rnn.tgcn.hn");
+  // Candidate n = tanh((rh U_n + b_n) + u_n), then h = (1-z)*n + z*h_prev.
+  cache.n = Tensor(rows, hd);
+  Tensor h(rows, hd);
+  const float* bn = hn_.bias().value.row(0);
+  ops::par_rows("elementwise", rows, 2 * h.size(), [&](int i) {
+    const float* anr = an.row(i);
+    const float* unr = un.row(i);
+    const float* z = cache.z.row(i);
+    const float* hp = h_prev.row(i);
+    float* n = cache.n.row(i);
+    float* hr = h.row(i);
+    for (int j = 0; j < hd; ++j) {
+      n[j] = std::tanh((anr[j] + bn[j]) + 1.0f * unr[j]);
+      hr[j] = (1.0f - z[j]) * n[j] + z[j] * hp[j];
+    }
+  });
   record(rec, "ew:rnn.tgcn.act",
          kernels::elementwise_stats(3 * h.size(), 1, 5));
   return h;
@@ -52,26 +86,59 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
 Tensor TGcn::step_backward(const StepCache& cache, const Tensor& dh,
                            Tensor& d_uz, Tensor& d_ur, Tensor& d_un,
                            kernels::KernelRecorder* rec) {
-  // h = (1-z)*n + z*h_prev.
-  Tensor dz = ops::mul(dh, ops::sub(cache.h_prev, cache.n));
-  Tensor dn = ops::mul(
-      dh, ops::sub(Tensor::full(dh.rows(), dh.cols(), 1.0f), cache.z));
-  Tensor dh_prev = ops::mul(dh, cache.z);
+  PIPAD_CHECK_MSG(dh.same_shape(cache.z), "T-GCN dh shape "
+                                              << dh.shape_str() << " vs "
+                                              << cache.z.shape_str());
+  const int rows = dh.rows();
+  const int hd = hid_;
+  // h = (1-z)*n + z*h_prev. The differences keep sub's `a + -1.0f * b`.
+  // Candidate branch: d_un = dn * tanh'(n); update gate: d_uz = dz * σ'(z).
+  d_uz = Tensor(rows, hd);
+  d_un = Tensor(rows, hd);
+  ops::par_rows("elementwise", rows, 2 * dh.size(), [&](int i) {
+    const float* d = dh.row(i);
+    const float* z = cache.z.row(i);
+    const float* n = cache.n.row(i);
+    const float* hp = cache.h_prev.row(i);
+    float* duz = d_uz.row(i);
+    float* dun = d_un.row(i);
+    for (int j = 0; j < hd; ++j) {
+      const float dz = d[j] * (hp[j] + -1.0f * n[j]);
+      const float dn = d[j] * (1.0f + -1.0f * z[j]);
+      dun[j] = ops::tanh_grad(dn, n[j]);
+      duz[j] = ops::sigmoid_grad(dz, z[j]);
+    }
+  });
+  const Tensor drh = hn_.backward(cache.rh, d_un, rec, "rnn.tgcn.hn");
 
-  // Candidate branch: an = un + U_n(rh).
-  Tensor dan = ops::tanh_grad(dn, cache.n);
-  d_un = dan;
-  Tensor drh = hn_.backward(cache.rh, dan, rec, "rnn.tgcn.hn");
-  Tensor dr = ops::mul(drh, cache.h_prev);
-  ops::add_inplace(dh_prev, ops::mul(drh, cache.r));
-
-  // Gates.
-  Tensor daz = ops::sigmoid_grad(dz, cache.z);
-  Tensor dar = ops::sigmoid_grad(dr, cache.r);
-  d_uz = daz;
-  d_ur = dar;
-  ops::add_inplace(dh_prev, hz_.backward(cache.h_prev, daz, rec, "rnn.tgcn.hz"));
-  ops::add_inplace(dh_prev, hr_.backward(cache.h_prev, dar, rec, "rnn.tgcn.hr"));
+  // Reset gate: d_ur = (drh ⊙ h_prev) * σ'(r); dh_prev collects dh ⊙ z and
+  // drh ⊙ r here, then the two hidden-transform input grads below.
+  d_ur = Tensor(rows, hd);
+  Tensor dh_prev(rows, hd);
+  ops::par_rows("elementwise", rows, 2 * dh.size(), [&](int i) {
+    const float* d = dh.row(i);
+    const float* z = cache.z.row(i);
+    const float* r = cache.r.row(i);
+    const float* hp = cache.h_prev.row(i);
+    const float* g = drh.row(i);
+    float* dur = d_ur.row(i);
+    float* dhp = dh_prev.row(i);
+    for (int j = 0; j < hd; ++j) {
+      dur[j] = ops::sigmoid_grad(g[j] * hp[j], r[j]);
+      const float gr = g[j] * r[j];
+      dhp[j] = d[j] * z[j] + 1.0f * gr;
+    }
+  });
+  const Tensor dxz = hz_.backward(cache.h_prev, d_uz, rec, "rnn.tgcn.hz");
+  const Tensor dxr = hr_.backward(cache.h_prev, d_ur, rec, "rnn.tgcn.hr");
+  ops::par_rows("elementwise", rows, dh_prev.size(), [&](int i) {
+    const float* xz = dxz.row(i);
+    const float* xr = dxr.row(i);
+    float* dhp = dh_prev.row(i);
+    for (int j = 0; j < hd; ++j) {
+      dhp[j] = (dhp[j] + 1.0f * xz[j]) + 1.0f * xr[j];
+    }
+  });
   record(rec, "ew:rnn.tgcn.act.bwd",
          kernels::elementwise_stats(6 * dh.size(), 2, 6));
   return dh_prev;

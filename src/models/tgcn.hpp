@@ -27,17 +27,14 @@ class TGcn final : public DgnnModel {
   std::vector<nn::Parameter*> params() override;
   int num_agg_layers() const override { return 1; }
 
- private:
   struct StepCache {
     Tensor h_prev;
     Tensor z, r, n;
     Tensor rh;  ///< r ⊙ h_prev.
   };
 
-  float run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
-                  const std::vector<const Tensor*>& targets, bool train);
-
-  /// One recurrent step given the precomputed gate inputs.
+  /// One recurrent step given the precomputed gate inputs: the hidden
+  /// GEMMs plus two fused row passes (gates, then candidate and update).
   Tensor step(const Tensor& uz, const Tensor& ur, const Tensor& un,
               const Tensor& h_prev, StepCache& cache,
               kernels::KernelRecorder* rec);
@@ -47,6 +44,10 @@ class TGcn final : public DgnnModel {
   Tensor step_backward(const StepCache& cache, const Tensor& dh,
                        Tensor& d_uz, Tensor& d_ur, Tensor& d_un,
                        kernels::KernelRecorder* rec);
+
+ private:
+  float run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
+                  const std::vector<const Tensor*>& targets, bool train);
 
   int hid_ = 0;
   nn::Linear gate_z_, gate_r_, gate_n_;  ///< GCN update weights W_g (in->hid).

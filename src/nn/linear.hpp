@@ -23,6 +23,11 @@ class Linear {
   Tensor forward(const Tensor& x, kernels::KernelRecorder* rec,
                  const std::string& tag) const;
 
+  /// x * W without the bias, recorded as forward() records its GEMM — for
+  /// callers that fold the bias add into a fused elementwise pass.
+  Tensor forward_gemm(const Tensor& x, kernels::KernelRecorder* rec,
+                      const std::string& tag) const;
+
   /// Given the cached input x and upstream dy: accumulates dW, db and
   /// returns dx.
   Tensor backward(const Tensor& x, const Tensor& dy,

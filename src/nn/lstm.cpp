@@ -1,5 +1,7 @@
 #include "nn/lstm.hpp"
 
+#include <cmath>
+
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
 
@@ -27,21 +29,49 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
   PIPAD_CHECK_MSG(x.cols() == in_, "LSTM input dim mismatch");
   PIPAD_CHECK_MSG(h_prev.cols() == hid_ && c_prev.cols() == hid_,
                   "LSTM hidden dim mismatch");
+  PIPAD_CHECK_MSG(h_prev.rows() == x.rows() && c_prev.rows() == x.rows(),
+                  "LSTM state rows mismatch");
   cache.xh = ops::concat_cols(x, h_prev);
-  Tensor gates = ops::matmul(cache.xh, w_.value);
-  ops::add_bias(gates, b_.value);
+  const Tensor gates = ops::matmul(cache.xh, w_.value);
   record(rec, "gemm:" + tag + ".gates",
          kernels::gemm_stats(x.rows(), in_ + hid_, 4 * hid_));
 
-  cache.i = ops::sigmoid(ops::slice_cols(gates, 0, hid_));
-  cache.f = ops::sigmoid(ops::slice_cols(gates, hid_, hid_));
-  cache.g = ops::tanh(ops::slice_cols(gates, 2 * hid_, hid_));
-  cache.o = ops::sigmoid(ops::slice_cols(gates, 3 * hid_, hid_));
+  const int rows = x.rows();
+  const int hd = hid_;
+  cache.i = Tensor(rows, hd);
+  cache.f = Tensor(rows, hd);
+  cache.g = Tensor(rows, hd);
+  cache.o = Tensor(rows, hd);
   cache.c_prev = c_prev;
-
-  cache.c = ops::add(ops::mul(cache.f, c_prev), ops::mul(cache.i, cache.g));
-  cache.tanh_c = ops::tanh(cache.c);
-  Tensor h = ops::mul(cache.o, cache.tanh_c);
+  cache.c = Tensor(rows, hd);
+  cache.tanh_c = Tensor(rows, hd);
+  Tensor h(rows, hd);
+  const float* bias = b_.value.row(0);
+  // One pass per row: bias add, gate nonlinearities, cell and hidden
+  // update. c = f*c_prev + i*g keeps add_inplace's `a + 1.0f * b`. A fused
+  // pass quotes its work as the elements it writes (here 7 per h element).
+  ops::par_rows("elementwise", rows, 7 * h.size(), [&](int r) {
+    const float* a = gates.row(r);
+    const float* cp = c_prev.row(r);
+    float* gi = cache.i.row(r);
+    float* gf = cache.f.row(r);
+    float* gg = cache.g.row(r);
+    float* go = cache.o.row(r);
+    float* cr = cache.c.row(r);
+    float* tc = cache.tanh_c.row(r);
+    float* hr = h.row(r);
+    for (int j = 0; j < hd; ++j) {
+      gi[j] = ops::sigmoid(a[j] + bias[j]);
+      gf[j] = ops::sigmoid(a[hd + j] + bias[hd + j]);
+      gg[j] = std::tanh(a[2 * hd + j] + bias[2 * hd + j]);
+      go[j] = ops::sigmoid(a[3 * hd + j] + bias[3 * hd + j]);
+      const float fc = gf[j] * cp[j];
+      const float ig = gi[j] * gg[j];
+      cr[j] = fc + 1.0f * ig;
+      tc[j] = std::tanh(cr[j]);
+      hr[j] = go[j] * tc[j];
+    }
+  });
   record(rec, "ew:" + tag + ".act",
          kernels::elementwise_stats(gates.size(), 1, 6));
   return {std::move(h), cache.c};
@@ -50,28 +80,44 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
 std::tuple<Tensor, Tensor, Tensor> LSTMCell::backward(
     const Cache& cache, const Tensor& dh, const Tensor& dc,
     kernels::KernelRecorder* rec, const std::string& tag) {
-  // dc_total = dc + dh * o * (1 - tanh_c^2)
-  Tensor dtanh_c = ops::mul(dh, cache.o);
-  Tensor dc_total = ops::tanh_grad(dtanh_c, cache.tanh_c);
-  if (!dc.empty()) ops::add_inplace(dc_total, dc);
-
-  Tensor d_o = ops::mul(dh, cache.tanh_c);
-  Tensor d_f = ops::mul(dc_total, cache.c_prev);
-  Tensor dc_prev = ops::mul(dc_total, cache.f);
-  Tensor d_i = ops::mul(dc_total, cache.g);
-  Tensor d_g = ops::mul(dc_total, cache.i);
-
-  // Through the gate nonlinearities.
-  Tensor da_i = ops::sigmoid_grad(d_i, cache.i);
-  Tensor da_f = ops::sigmoid_grad(d_f, cache.f);
-  Tensor da_g = ops::tanh_grad(d_g, cache.g);
-  Tensor da_o = ops::sigmoid_grad(d_o, cache.o);
-
-  Tensor da(dh.rows(), 4 * hid_);
-  ops::add_into_cols(da, da_i, 0);
-  ops::add_into_cols(da, da_f, hid_);
-  ops::add_into_cols(da, da_g, 2 * hid_);
-  ops::add_into_cols(da, da_o, 3 * hid_);
+  PIPAD_CHECK_MSG(dh.same_shape(cache.o), "LSTM dh shape "
+                                              << dh.shape_str() << " vs "
+                                              << cache.o.shape_str());
+  PIPAD_CHECK_MSG(dc.empty() || dc.same_shape(dh), "LSTM dc shape mismatch");
+  const int rows = dh.rows();
+  const int hd = hid_;
+  const bool has_dc = !dc.empty();
+  Tensor da(rows, 4 * hd);
+  Tensor dc_prev(rows, hd);
+  // One pass per row: cell-state gradient, gate gradients through the
+  // nonlinearities, and the [i|f|g|o] scatter into da. Every da element is
+  // written as `0.0f + v`, as add_into_cols into zeros computes it.
+  ops::par_rows("elementwise", rows, da.size() + dc_prev.size(), [&](int r) {
+    const float* gi = cache.i.row(r);
+    const float* gf = cache.f.row(r);
+    const float* gg = cache.g.row(r);
+    const float* go = cache.o.row(r);
+    const float* cp = cache.c_prev.row(r);
+    const float* tc = cache.tanh_c.row(r);
+    const float* dhr = dh.row(r);
+    const float* dcr = has_dc ? dc.row(r) : nullptr;
+    float* dar = da.row(r);
+    float* dcp = dc_prev.row(r);
+    for (int j = 0; j < hd; ++j) {
+      // dc_total = dc + dh * o * (1 - tanh_c^2)
+      float dct = ops::tanh_grad(dhr[j] * go[j], tc[j]);
+      if (has_dc) dct = dct + 1.0f * dcr[j];
+      const float d_o = dhr[j] * tc[j];
+      const float d_f = dct * cp[j];
+      dcp[j] = dct * gf[j];
+      const float d_i = dct * gg[j];
+      const float d_g = dct * gi[j];
+      dar[j] = 0.0f + ops::sigmoid_grad(d_i, gi[j]);
+      dar[hd + j] = 0.0f + ops::sigmoid_grad(d_f, gf[j]);
+      dar[2 * hd + j] = 0.0f + ops::tanh_grad(d_g, gg[j]);
+      dar[3 * hd + j] = 0.0f + ops::sigmoid_grad(d_o, go[j]);
+    }
+  });
   record(rec, "ew:" + tag + ".act.bwd",
          kernels::elementwise_stats(da.size(), 2, 8));
 

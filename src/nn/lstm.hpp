@@ -2,7 +2,10 @@
 //
 // MPNN-LSTM stacks two of these over the GCN outputs (§2.1, Fig. 2a). The
 // cell is stateless: per-timestep activations live in an explicit Cache so a
-// frame's backward pass can walk the timeline in reverse (BPTT).
+// frame's backward pass can walk the timeline in reverse (BPTT). Around the
+// GEMMs, forward and backward each do their gate math in one fused row pass
+// that writes the Cache tensors directly, bit-identical to composing the
+// ops:: calls one by one.
 #pragma once
 
 #include <string>

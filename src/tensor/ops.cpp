@@ -1,32 +1,16 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/compute_pool.hpp"
 
 namespace pipad::ops {
 
 namespace {
-// Logical element access under optional transpose.
-inline float get(const Tensor& t, bool trans, int r, int c) {
-  return trans ? t.at(c, r) : t.at(r, c);
-}
-
-// Row-blocked and element-blocked dispatch through the shared ComputePool.
-// Every op here computes each output row/element exactly as the serial code
-// would, so results are bit-identical for any thread count; only ops whose
-// rounding depends on a cross-row combine order (the reductions at the
-// bottom of this file) stay serial.
-template <typename F>
-inline void par_rows(const char* name, int rows, std::size_t total_work,
-                     const F& fn) {
-  ComputePool::instance().for_blocks(
-      name, static_cast<std::size_t>(rows), total_work,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) fn(static_cast<int>(r));
-      });
-}
-
+// Element-blocked dispatch through the shared ComputePool (par_rows in the
+// header is the row-blocked form). Every op here computes each output
+// row/element exactly as the serial code would, so results are
+// bit-identical for any thread count; only mse_loss, whose rounding depends
+// on a cross-row combine order, stays serial.
 template <typename F>
 inline void par_elems(const char* name, std::size_t n, const F& fn) {
   ComputePool::instance().for_blocks(name, n, n, fn);
@@ -46,35 +30,40 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
   PIPAD_CHECK_MSG(c.rows() == m && c.cols() == n,
                   "gemm output shape mismatch: got " << c.shape_str());
 
-  if (beta == 0.0f) {
-    c.fill(0.0f);
-  } else if (beta != 1.0f) {
-    scale_inplace(c, beta);
+  // The inner loop streams rows of op(B), so a transposed B is packed once
+  // into a row-major [k x n] copy; op(A) is read one scalar per (i, kk)
+  // through its strides. Every mode then runs the same i-k-j loop, and each
+  // C element accumulates over kk in ascending order with zero terms
+  // skipped — the same sums for every mode and every thread count.
+  Tensor packed;
+  if (trans_b) {
+    packed = Tensor(k, n);
+    for (int j = 0; j < n; ++j) {
+      const float* src = b.row(j);
+      for (int kk = 0; kk < k; ++kk) packed.at(kk, j) = src[kk];
+    }
   }
+  const Tensor& bk = trans_b ? packed : b;
+  const std::size_t a_row = trans_a ? 1 : static_cast<std::size_t>(k);
+  const std::size_t a_col = trans_a ? static_cast<std::size_t>(m) : 1;
+  const float* pa = a.data();
 
   const std::size_t work = static_cast<std::size_t>(m) * k * n;
-  // i-k-j ordering: streaming access over C and (untransposed) B rows. Rows
-  // of C are independent, so the row-blocked parallel path computes each one
-  // in the exact serial order.
-  if (!trans_a && !trans_b) {
-    par_rows("gemm", m, work, [&](int i) {
-      float* crow = c.row(i);
-      const float* arow = a.row(i);
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = alpha * arow[kk];
-        if (av == 0.0f) continue;
-        const float* brow = b.row(kk);
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    });
-    return;
-  }
+  // Rows of C are independent, so the row-blocked parallel path computes
+  // each one in the exact serial order.
   par_rows("gemm", m, work, [&](int i) {
     float* crow = c.row(i);
+    if (beta == 0.0f) {
+      std::fill(crow, crow + n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (int j = 0; j < n; ++j) crow[j] *= beta;
+    }
+    const std::size_t a_i = static_cast<std::size_t>(i) * a_row;
     for (int kk = 0; kk < k; ++kk) {
-      const float av = alpha * get(a, trans_a, i, kk);
+      const float av = alpha * pa[a_i + static_cast<std::size_t>(kk) * a_col];
       if (av == 0.0f) continue;
-      for (int j = 0; j < n; ++j) crow[j] += av * get(b, trans_b, kk, j);
+      const float* brow = bk.row(kk);
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   });
 }
@@ -82,8 +71,10 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   const int m = trans_a ? a.cols() : a.rows();
   const int n = trans_b ? b.rows() : b.cols();
+  // The constructor already zero-fills C, so beta = 1 accumulates onto the
+  // same +0.0f start the beta = 0 fill would write.
   Tensor c(m, n);
-  gemm(a, b, c, trans_a, trans_b, 1.0f, 0.0f);
+  gemm(a, b, c, trans_a, trans_b, 1.0f, 1.0f);
   return c;
 }
 
@@ -119,12 +110,6 @@ void add_inplace(Tensor& a, const Tensor& b, float scale) {
   par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pa[i] += scale * pb[i];
   });
-}
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor c = a;
-  add_inplace(c, b);
-  return c;
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
@@ -181,7 +166,7 @@ Tensor sigmoid(const Tensor& x) {
   float* py = y.data();
   par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
-      py[i] = 1.0f / (1.0f + std::exp(-px[i]));
+      py[i] = sigmoid(px[i]);
   });
   return y;
 }
@@ -194,7 +179,7 @@ Tensor sigmoid_grad(const Tensor& dy, const Tensor& y) {
   float* pdx = dx.data();
   par_elems("elementwise", y.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
-      pdx[i] = pdy[i] * py[i] * (1.0f - py[i]);
+      pdx[i] = sigmoid_grad(pdy[i], py[i]);
   });
   return dx;
 }
@@ -217,7 +202,7 @@ Tensor tanh_grad(const Tensor& dy, const Tensor& y) {
   float* pdx = dx.data();
   par_elems("elementwise", y.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
-      pdx[i] = pdy[i] * (1.0f - py[i] * py[i]);
+      pdx[i] = tanh_grad(pdy[i], py[i]);
   });
   return dx;
 }
@@ -287,36 +272,6 @@ float mse_loss(const Tensor& pred, const Tensor& target, Tensor* grad) {
     if (grad != nullptr) grad->data()[i] = 2.0f * d / static_cast<float>(n);
   }
   return static_cast<float>(acc / static_cast<double>(n));
-}
-
-float sum(const Tensor& a) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a.data()[i];
-  return static_cast<float>(s);
-}
-
-float max_abs_diff(const Tensor& a, const Tensor& b) {
-  PIPAD_CHECK_MSG(a.same_shape(b), "max_abs_diff shape mismatch");
-  float m = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
-  return m;
-}
-
-float frobenius_norm(const Tensor& a) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double v = a.data()[i];
-    s += v * v;
-  }
-  return static_cast<float>(std::sqrt(s));
-}
-
-bool all_finite(const Tensor& a) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!std::isfinite(a.data()[i])) return false;
-  }
-  return true;
 }
 
 }  // namespace pipad::ops

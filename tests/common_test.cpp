@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "common/compute_pool.hpp"
 #include "common/error.hpp"
@@ -210,12 +211,20 @@ TEST(ThreadPool, WorkerIndexIdentifiesTheExecutingLane) {
   // Not a pool thread here.
   EXPECT_EQ(ThreadPool::worker_index(), ThreadPool::npos);
   std::vector<std::atomic<int>> lane_hits(4);
+  std::atomic<int> caller_hits{0};
+  const auto caller = std::this_thread::get_id();
   pool.parallel_for(256, [&](std::size_t) {
     const std::size_t lane = ThreadPool::worker_index();
+    if (std::this_thread::get_id() == caller) {
+      // run_blocks runs slot 0 on the calling thread, which is no worker.
+      EXPECT_EQ(lane, ThreadPool::npos);
+      caller_hits.fetch_add(1);
+      return;
+    }
     ASSERT_LT(lane, 4u);
     lane_hits[lane].fetch_add(1);
   });
-  int total = 0;
+  int total = caller_hits.load();
   for (auto& h : lane_hits) total += h.load();
   EXPECT_EQ(total, 256);
 }

@@ -10,6 +10,7 @@
 #include "kernels/update.hpp"
 #include "sliced/partition.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace pipad {
 namespace {
@@ -39,7 +40,7 @@ TEST_P(AggKernelDims, CooMatchesReference) {
   Tensor ref(64, f), got(64, f);
   kernels::ref_spmm(a, x, ref);
   kernels::agg_coo(graph::coo_from_csr(a), x, got);
-  EXPECT_LT(ops::max_abs_diff(ref, got), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, got), 1e-5f);
 }
 
 TEST_P(AggKernelDims, CsrMatchesReference) {
@@ -50,7 +51,7 @@ TEST_P(AggKernelDims, CsrMatchesReference) {
   Tensor ref(64, f), got(64, f);
   kernels::ref_spmm(a, x, ref);
   kernels::agg_csr(a, x, got);
-  EXPECT_LT(ops::max_abs_diff(ref, got), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, got), 1e-5f);
 }
 
 TEST_P(AggKernelDims, GespmmMatchesReference) {
@@ -61,7 +62,7 @@ TEST_P(AggKernelDims, GespmmMatchesReference) {
   Tensor ref(64, f), got(64, f);
   kernels::ref_spmm(a, x, ref);
   kernels::agg_gespmm(a, x, got);
-  EXPECT_LT(ops::max_abs_diff(ref, got), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, got), 1e-5f);
 }
 
 TEST_P(AggKernelDims, SlicedMatchesReference) {
@@ -73,7 +74,7 @@ TEST_P(AggKernelDims, SlicedMatchesReference) {
   kernels::ref_spmm(a, x, ref);
   const auto s = sliced::slice(a, 8);
   kernels::agg_sliced(s, x, got);
-  EXPECT_LT(ops::max_abs_diff(ref, got), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, got), 1e-5f);
 }
 
 INSTANTIATE_TEST_SUITE_P(FeatureDims, AggKernelDims,
@@ -89,7 +90,7 @@ TEST(AggKernels, AccumulateAddsIntoOutput) {
   kernels::agg_coo(graph::coo_from_csr(a), x, twice, /*accumulate=*/false);
   kernels::agg_coo(graph::coo_from_csr(a), x, twice, /*accumulate=*/true);
   ops::scale_inplace(once, 2.0f);
-  EXPECT_LT(ops::max_abs_diff(once, twice), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(once, twice), 1e-5f);
 }
 
 TEST(AggKernels, EmptyGraphProducesZeros) {
@@ -98,7 +99,7 @@ TEST(AggKernels, EmptyGraphProducesZeros) {
   const Tensor x = Tensor::randn(8, 3, rng);
   Tensor out = Tensor::full(8, 3, 42.0f);
   kernels::agg_gespmm(a, x, out);
-  EXPECT_EQ(ops::sum(out), 0.0f);
+  EXPECT_EQ(testutil::sum(out), 0.0f);
 }
 
 // ---------- Normalization ----------
@@ -156,8 +157,8 @@ TEST(Normalize, CoalescedMatchesPerSnapshot) {
   Tensor hc(24, 8);
   kernels::gcn_normalize_coalesced({&d0, &d1}, xc, ac, hc);
   const auto split = sliced::split_coalesced(hc, 2);
-  EXPECT_LT(ops::max_abs_diff(split[0], h0), 1e-6f);
-  EXPECT_LT(ops::max_abs_diff(split[1], h1), 1e-6f);
+  EXPECT_LT(testutil::max_abs_diff(split[0], h0), 1e-6f);
+  EXPECT_LT(testutil::max_abs_diff(split[1], h1), 1e-6f);
 }
 
 // ---------- Parallel aggregation over an overlap decomposition ----------
@@ -189,7 +190,7 @@ TEST(ParallelAgg, OverlapPlusExclusiveEqualsFullAggregation) {
   for (int i = 0; i < 4; ++i) {
     Tensor ref(80, 3);
     kernels::ref_spmm(g.snapshots[1 + i].adj, *feats[i], ref);
-    EXPECT_LT(ops::max_abs_diff(split[i], ref), 1e-4f) << "snapshot " << i;
+    EXPECT_LT(testutil::max_abs_diff(split[i], ref), 1e-4f) << "snapshot " << i;
   }
 }
 
@@ -256,10 +257,10 @@ TEST(WeightedAgg, AllKernelsMatchWeightedReference) {
   kernels::agg_csr(a, x, csr, false, &w);
   kernels::agg_gespmm(a, x, ge, false, &w);
   kernels::agg_sliced(sliced::slice(a, 8), x, sl, 4, false, {&w});
-  EXPECT_LT(ops::max_abs_diff(ref, coo), 1e-5f);
-  EXPECT_LT(ops::max_abs_diff(ref, csr), 1e-5f);
-  EXPECT_LT(ops::max_abs_diff(ref, ge), 1e-5f);
-  EXPECT_LT(ops::max_abs_diff(ref, sl), 1e-4f);
+  EXPECT_LT(testutil::max_abs_diff(ref, coo), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, csr), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, ge), 1e-5f);
+  EXPECT_LT(testutil::max_abs_diff(ref, sl), 1e-4f);
 }
 
 TEST(WeightedAgg, UnitWeightsBitIdenticalToUnweighted) {
@@ -364,7 +365,7 @@ TEST(WeightedAgg, PartitionStripeWeightsMatchPerSnapshotReference) {
     Tensor ref(80, 3);
     kernels::ref_spmm(g.snapshots[1 + i].adj, *feats[i], ref, false,
                       &g.snapshots[1 + i].edge_w);
-    EXPECT_LT(ops::max_abs_diff(split[i], ref), 1e-4f) << "snapshot " << i;
+    EXPECT_LT(testutil::max_abs_diff(split[i], ref), 1e-4f) << "snapshot " << i;
   }
 }
 
@@ -391,7 +392,7 @@ TEST(WeightedAgg, TransposedPartitionWeightsMatchBackwardReference) {
     const auto wt = graph::transpose_weights(snap.adj, snap.edge_w);
     Tensor ref(60, 2);
     kernels::ref_spmm(snap.adj_t, *feats[i], ref, false, &wt);
-    EXPECT_LT(ops::max_abs_diff(split[i], ref), 1e-4f) << "snapshot " << i;
+    EXPECT_LT(testutil::max_abs_diff(split[i], ref), 1e-4f) << "snapshot " << i;
   }
 }
 
@@ -512,10 +513,10 @@ TEST_F(PooledEdgeShapes, EmptySnapshotProducesZeros) {
   const Tensor x = Tensor::randn(16, 5, rng);
   Tensor out = Tensor::full(16, 5, 7.0f);
   kernels::agg_sliced(s, x, out);
-  EXPECT_EQ(ops::sum(out), 0.0f);
+  EXPECT_EQ(testutil::sum(out), 0.0f);
   Tensor out2 = Tensor::full(16, 5, 7.0f);
   kernels::agg_csr(a, x, out2);
-  EXPECT_EQ(ops::sum(out2), 0.0f);
+  EXPECT_EQ(testutil::sum(out2), 0.0f);
 }
 
 TEST_F(PooledEdgeShapes, SingleRowSliceMatchesReference) {
@@ -546,7 +547,7 @@ TEST_F(PooledEdgeShapes, FeatureDimNotDivisibleByBlockCount) {
   kernels::ref_spmm(a, x, ref);
   const auto s = sliced::slice(a, 3);
   kernels::agg_sliced(s, x, got);
-  EXPECT_LT(ops::max_abs_diff(ref, got), 1e-4f);
+  EXPECT_LT(testutil::max_abs_diff(ref, got), 1e-4f);
 }
 
 TEST_F(PooledEdgeShapes, RowsFewerThanThreads) {
@@ -672,7 +673,7 @@ TEST(Update, GemmMatchesOps) {
   const Tensor w = Tensor::randn(13, 9, rng);
   Tensor out;
   kernels::update_gemm(h, w, out);
-  EXPECT_LT(ops::max_abs_diff(out, ops::matmul(h, w)), 1e-4f);
+  EXPECT_LT(testutil::max_abs_diff(out, ops::matmul(h, w)), 1e-4f);
 }
 
 TEST(Update, WeightReuseMatchesPerSnapshotMath) {
@@ -685,7 +686,7 @@ TEST(Update, WeightReuseMatchesPerSnapshotMath) {
   std::vector<Tensor> outs;
   kernels::update_weight_reuse(hp, w, outs);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_LT(ops::max_abs_diff(outs[i], ops::matmul(hs[i], w)), 1e-4f);
+    EXPECT_LT(testutil::max_abs_diff(outs[i], ops::matmul(hs[i], w)), 1e-4f);
   }
 }
 

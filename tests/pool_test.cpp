@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -231,6 +232,130 @@ TEST(RunBlocks, CalledFromOwnWorkerThrowsInsteadOfDeadlocking) {
     pool.run_blocks(8, [](std::size_t) {});
   });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+// ------------------------------------------------------------ caller-run slot
+
+/// Spins until `flag` is set or 30 s pass; false on timeout, so a broken
+/// contract fails the test instead of hanging the suite.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Every block that lands on a worker is pinned until the calling thread has
+// executed one, so the region can only finish if the caller runs blocks
+// itself rather than sleeping on the workers.
+TEST(RunBlocks, CallerExecutesABlockWhileWorkersArePinned) {
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<bool> timed_out{false};
+  std::atomic<int> caller_blocks{0};
+  const auto stats = pool.run_blocks(16, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      EXPECT_EQ(ThreadPool::current_pool(), &pool);
+      caller_blocks.fetch_add(1, std::memory_order_relaxed);
+      caller_ran.store(true, std::memory_order_release);
+    } else if (!wait_for(caller_ran)) {
+      timed_out.store(true, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_FALSE(timed_out.load()) << "the caller never ran a block";
+  EXPECT_GE(caller_blocks.load(), 1);
+  EXPECT_EQ(stats.executed, 16u);
+}
+
+// A region launched from a caller-run block runs inline on the caller and
+// is not recorded, exactly as it would be from a worker.
+TEST(ComputePoolCallerRun, NestedRegionInCallerBlockRunsInlineUnrecorded) {
+  auto& cp = ComputePool::instance();
+  cp.configure(4);
+  ComputePool::set_min_block_work(1);  // Force the parallel path.
+  cp.discard_regions();
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<bool> timed_out{false};
+  std::atomic<int> inner_elems{0};
+  std::atomic<int> inner_off_caller{0};
+  cp.for_blocks("outer", 32, 1 << 20, [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      if (!wait_for(caller_ran)) timed_out.store(true);
+      return;
+    }
+    cp.for_blocks("inner", 100, 1 << 20, [&](std::size_t lo, std::size_t hi) {
+      if (std::this_thread::get_id() != caller) inner_off_caller.fetch_add(1);
+      inner_elems.fetch_add(static_cast<int>(hi - lo));
+    });
+    caller_ran.store(true, std::memory_order_release);
+  });
+  auto regions = cp.drain_regions();
+  ComputePool::set_min_block_work(0);  // Restore the calibrated floor.
+  cp.configure(0);
+  EXPECT_FALSE(timed_out.load()) << "the caller never ran a block";
+  EXPECT_GE(inner_elems.load(), 100);
+  EXPECT_EQ(inner_elems.load() % 100, 0);
+  EXPECT_EQ(inner_off_caller.load(), 0);
+  ASSERT_TRUE(regions.count("outer"));
+  EXPECT_EQ(regions["outer"].count, 1u);
+  EXPECT_EQ(regions.count("inner"), 0u);
+}
+
+TEST(RunBlocks, CurrentPoolIsRestoredAfterTheRegionAndOnThrow) {
+  ThreadPool pool(4);
+  ASSERT_EQ(ThreadPool::current_pool(), nullptr);
+  // Runs a region whose worker-side blocks wait for the launching thread to
+  // run body() in one of its own blocks; false if it never did.
+  const auto caller_runs = [&pool](const std::function<void()>& body) {
+    const auto launcher = std::this_thread::get_id();
+    std::atomic<bool> ran{false};
+    std::atomic<bool> timed_out{false};
+    pool.run_blocks(8, [&](std::size_t) {
+      if (std::this_thread::get_id() != launcher) {
+        if (!wait_for(ran)) timed_out.store(true);
+        return;
+      }
+      if (!ran.load(std::memory_order_acquire)) {
+        body();
+        ran.store(true, std::memory_order_release);
+      }
+    });
+    return !timed_out.load();
+  };
+
+  EXPECT_TRUE(caller_runs(
+      [&] { EXPECT_EQ(ThreadPool::current_pool(), &pool); }));
+  EXPECT_EQ(ThreadPool::current_pool(), nullptr);
+
+  // Every block throws, the caller's included.
+  EXPECT_THROW(pool.run_blocks(8, [](std::size_t) { throw Error("boom"); }),
+               Error);
+  EXPECT_EQ(ThreadPool::current_pool(), nullptr);
+
+  // Launched from another pool's worker, the region restores that pool;
+  // a run_blocks from inside a caller-run block is rejected exactly like
+  // one from a worker.
+  ThreadPool outer(1);
+  outer
+      .submit([&] {
+        bool rejected = false;
+        EXPECT_TRUE(caller_runs([&] {
+          try {
+            pool.run_blocks(2, [](std::size_t) {});
+          } catch (const std::runtime_error&) {
+            rejected = true;
+          }
+        }));
+        EXPECT_TRUE(rejected);
+        EXPECT_EQ(ThreadPool::current_pool(), &outer);
+      })
+      .get();
+  EXPECT_EQ(ThreadPool::current_pool(), nullptr);
 }
 
 // ---------------------------------------------------------- ComputePool knob

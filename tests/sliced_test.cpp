@@ -6,6 +6,7 @@
 #include "sliced/partition.hpp"
 #include "sliced/sliced_csr.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace pipad::sliced {
 namespace {
@@ -183,9 +184,9 @@ TEST(Partition, CoalesceSplitRoundTrip) {
   EXPECT_EQ(coal.cols(), 9);
   EXPECT_EQ(coal.at(2, 3), b.at(2, 0));  // Stripe layout.
   const auto parts = split_coalesced(coal, 3);
-  EXPECT_EQ(ops::max_abs_diff(parts[0], a), 0.0f);
-  EXPECT_EQ(ops::max_abs_diff(parts[1], b), 0.0f);
-  EXPECT_EQ(ops::max_abs_diff(parts[2], c), 0.0f);
+  EXPECT_EQ(testutil::max_abs_diff(parts[0], a), 0.0f);
+  EXPECT_EQ(testutil::max_abs_diff(parts[1], b), 0.0f);
+  EXPECT_EQ(testutil::max_abs_diff(parts[2], c), 0.0f);
 }
 
 }  // namespace

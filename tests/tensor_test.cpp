@@ -1,11 +1,13 @@
-// Tensor/ops tests: GEMM in all transpose modes against a naive reference,
-// elementwise maps, gate helpers, losses.
+// Tensor/ops tests: GEMM in all transpose modes against a naive reference
+// and bit for bit against the skip-zero i-k-j order, elementwise maps, gate
+// helpers, losses.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "common/compute_pool.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace pipad {
 namespace {
@@ -39,7 +41,7 @@ TEST_P(GemmModes, MatchesNaive) {
   const Tensor a = ta ? Tensor::randn(k, m, rng) : Tensor::randn(m, k, rng);
   const Tensor b = tb ? Tensor::randn(n, k, rng) : Tensor::randn(k, n, rng);
   const Tensor c = ops::matmul(a, b, ta, tb);
-  EXPECT_LT(ops::max_abs_diff(c, naive_matmul(a, b, ta, tb)), 1e-3f);
+  EXPECT_LT(testutil::max_abs_diff(c, naive_matmul(a, b, ta, tb)), 1e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -56,7 +58,87 @@ TEST(Gemm, BetaAccumulates) {
   ops::gemm(a, b, c, false, false, 1.0f, 1.0f);
   Tensor expect = naive_matmul(a, b, false, false);
   ops::add_inplace(expect, Tensor::full(4, 5, 1.0f));
-  EXPECT_LT(ops::max_abs_diff(c, expect), 1e-4f);
+  EXPECT_LT(testutil::max_abs_diff(c, expect), 1e-4f);
+}
+
+using testutil::expect_same_bits;
+
+/// C = alpha * opA * opB + beta * C in the loop order gemm promises: beta
+/// applied first (0 writes +0.0f, 1 leaves C, else C * beta), then for each
+/// row i, kk ascending, skipping kk where alpha * opA[i][kk] == 0, j
+/// ascending. opA/opB are the logical (already transposed) operands.
+Tensor ref_gemm_ikj(const Tensor& opa, const Tensor& opb, const Tensor& c0,
+                    float alpha, float beta) {
+  Tensor c = c0;
+  for (std::size_t e = 0; e < c.size(); ++e) {
+    if (beta == 0.0f) {
+      c.data()[e] = 0.0f;
+    } else if (beta != 1.0f) {
+      c.data()[e] *= beta;
+    }
+  }
+  for (int i = 0; i < opa.rows(); ++i) {
+    for (int kk = 0; kk < opa.cols(); ++kk) {
+      const float av = alpha * opa.at(i, kk);
+      if (av == 0.0f) continue;
+      for (int j = 0; j < opb.cols(); ++j) c.at(i, j) += av * opb.at(kk, j);
+    }
+  }
+  return c;
+}
+
+Tensor transposed(const Tensor& t) {
+  Tensor out(t.cols(), t.rows());
+  for (int r = 0; r < t.rows(); ++r) {
+    for (int c = 0; c < t.cols(); ++c) out.at(c, r) = t.at(r, c);
+  }
+  return out;
+}
+
+// Every transpose mode, alpha and beta runs the one packed i-k-j loop and
+// must reproduce the reference sums bit for bit — including the zero-skip
+// on whole zero rows of op(A) and on a zero column (a stored row of A^T),
+// and -0.0f entries. The work floor is pinned low so the rows split into
+// several blocks.
+TEST(Gemm, AllModesBitIdenticalToSkipZeroIkjReference) {
+  ComputePool::set_min_block_work(256);
+  constexpr int kM = 37, kK = 29;
+  for (const int n : {1, 6, 24, 33}) {
+    Rng rng(static_cast<std::uint64_t>(100 + n));
+    Tensor opa = Tensor::randn(kM, kK, rng);
+    for (int kk = 0; kk < kK; ++kk) {
+      opa.at(3, kk) = 0.0f;    // Whole zero rows of op(A).
+      opa.at(20, kk) = -0.0f;
+    }
+    for (int i = 0; i < kM; ++i) opa.at(i, 7) = 0.0f;  // A zero column.
+    opa.at(11, 4) = -0.0f;
+    const Tensor opb = Tensor::randn(kK, n, rng);
+    // -0.0f in C survives a skipped term but not an added +0.0f product.
+    Tensor c0 = Tensor::randn(kM, n, rng);
+    for (int j = 0; j < n; ++j) c0.at(3, j) = -0.0f;
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        const Tensor a = ta ? transposed(opa) : opa;
+        const Tensor b = tb ? transposed(opb) : opb;
+        for (const float alpha : {1.0f, 0.5f}) {
+          for (const float beta : {0.0f, 0.5f, 1.0f}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " ta=" << ta << " tb=" << tb
+                         << " alpha=" << alpha << " beta=" << beta);
+            Tensor c = c0;
+            ops::gemm(a, b, c, ta, tb, alpha, beta);
+            expect_same_bits(c, ref_gemm_ikj(opa, opb, c0, alpha, beta), "C");
+          }
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "matmul n=" << n << " ta=" << ta << " tb=" << tb);
+        expect_same_bits(ops::matmul(a, b, ta, tb),
+                         ref_gemm_ikj(opa, opb, Tensor(kM, n), 1.0f, 0.0f),
+                         "matmul");
+      }
+    }
+  }
+  ComputePool::set_min_block_work(0);
 }
 
 TEST(Gemm, ShapeMismatchThrows) {
@@ -107,8 +189,8 @@ TEST(Ops, ConcatSplitRoundTrip) {
   const Tensor ab = ops::concat_cols(a, b);
   EXPECT_EQ(ab.cols(), 8);
   auto [a2, b2] = ops::split_cols(ab, 3);
-  EXPECT_EQ(ops::max_abs_diff(a, a2), 0.0f);
-  EXPECT_EQ(ops::max_abs_diff(b, b2), 0.0f);
+  EXPECT_EQ(testutil::max_abs_diff(a, a2), 0.0f);
+  EXPECT_EQ(testutil::max_abs_diff(b, b2), 0.0f);
 }
 
 TEST(Ops, SliceColsAndScatter) {
@@ -138,18 +220,11 @@ TEST(Ops, MseLossAndGradient) {
   }
 }
 
-TEST(Ops, AllFiniteDetectsNan) {
-  Tensor t = Tensor::zeros(2, 2);
-  EXPECT_TRUE(ops::all_finite(t));
-  t.at(1, 1) = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_FALSE(ops::all_finite(t));
-}
-
 TEST(Tensor, RandnDeterministicPerSeed) {
   Rng r1(5), r2(5);
   const Tensor a = Tensor::randn(8, 8, r1);
   const Tensor b = Tensor::randn(8, 8, r2);
-  EXPECT_EQ(ops::max_abs_diff(a, b), 0.0f);
+  EXPECT_EQ(testutil::max_abs_diff(a, b), 0.0f);
 }
 
 // ---------- Pooled-op determinism across thread counts ----------
@@ -247,7 +322,7 @@ TEST(PooledEdgeShapes, RowsFewerThanThreadsAndSingleElement) {
 TEST(PooledEdgeShapes, ZeroRowTensorsAreNoOps) {
   ComputePool::instance().configure(4);
   Tensor empty(0, 5), empty2(0, 5);
-  EXPECT_EQ(ops::add(empty, empty2).size(), 0u);
+  EXPECT_EQ(ops::mul(empty, empty2).size(), 0u);
   EXPECT_EQ(ops::relu(empty).size(), 0u);
   const Tensor cat = ops::concat_cols(empty, empty2);
   EXPECT_EQ(cat.rows(), 0);

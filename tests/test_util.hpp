@@ -1,10 +1,15 @@
 // Shared helpers for model/trainer tests: tiny deterministic datasets, a
 // plain sequential executor that computes ground-truth math with no
 // simulation (for comparing every runtime against), trainer-setup fixtures
-// shared by the pipad/tuner/analyze/replica/property suites, and analyzer
-// shorthands.
+// shared by the pipad/tuner/analyze/replica/property suites, tensor
+// comparisons and analyzer shorthands.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,6 +24,38 @@
 #include "tensor/ops.hpp"
 
 namespace pipad::testutil {
+
+// ---------- Tensor comparisons ----------
+
+/// Largest |a - b| over all elements; the shapes must match.
+inline float max_abs_diff(const Tensor& a, const Tensor& b) {
+  PIPAD_CHECK_MSG(a.same_shape(b), "max_abs_diff shape mismatch");
+  float m = 0.0f;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
+  }
+  return m;
+}
+
+/// Bitwise equality, element by element (memcmp, so -0.0f vs +0.0f counts
+/// as a difference); reports the first differing element.
+inline void expect_same_bits(const Tensor& got, const Tensor& want,
+                             const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want))
+      << what << ": " << got.shape_str() << " vs " << want.shape_str();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(float)), 0)
+        << what << " elem " << i << ": " << got.data()[i] << " vs "
+        << want.data()[i];
+  }
+}
+
+/// Sum of all elements, accumulated in double in index order.
+inline float sum(const Tensor& a) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) s += a.data()[i];
+  return static_cast<float>(s);
+}
 
 inline graph::DatasetConfig tiny_config(int nodes = 40, int snapshots = 8,
                                         int feat = 3,
