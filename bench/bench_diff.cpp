@@ -15,20 +15,20 @@
 // but pass (the trajectory can grow). Exit codes: 0 ok, 1 regression or
 // missing record, 2 usage/parse error — so CI can gate on it.
 //
-// The parser handles exactly the subset of JSON our writer emits (flat
-// string/number fields, no nesting inside records, no escapes); it rejects
-// anything it cannot understand rather than guessing.
-#include <cctype>
-#include <cerrno>
+// Files are parsed as strict JSON (api::Json); every record field must be
+// a string or a number. Anything else is rejected rather than guessed at.
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "api/json.hpp"
+#include "common/error.hpp"
 
 namespace {
 
@@ -44,56 +44,6 @@ struct Document {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "bench_diff: %s\n", msg.c_str());
   std::exit(2);
-}
-
-void skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-}
-
-std::string parse_string(const std::string& s, std::size_t& i) {
-  if (i >= s.size() || s[i] != '"') die("expected '\"' at offset " +
-                                        std::to_string(i));
-  const std::size_t end = s.find('"', i + 1);
-  if (end == std::string::npos) die("unterminated string");
-  std::string out = s.substr(i + 1, end - i - 1);
-  i = end + 1;
-  return out;
-}
-
-double parse_number(const std::string& s, std::size_t& i) {
-  char* endp = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str() + i, &endp);
-  if (endp == s.c_str() + i || errno == ERANGE) {
-    die("malformed number at offset " + std::to_string(i));
-  }
-  i = static_cast<std::size_t>(endp - s.c_str());
-  return v;
-}
-
-/// Parse one flat {"key": value, ...} object starting at s[i] == '{'.
-Record parse_record(const std::string& s, std::size_t& i) {
-  Record r;
-  ++i;  // '{'
-  for (;;) {
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return r;
-    }
-    const std::string key = parse_string(s, i);
-    skip_ws(s, i);
-    if (i >= s.size() || s[i] != ':') die("expected ':' after \"" + key + '"');
-    ++i;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '"') {
-      r.strings[key] = parse_string(s, i);
-    } else {
-      r.numbers[key] = parse_number(s, i);
-    }
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') ++i;
-  }
 }
 
 /// Highest record schema_version this tool understands. Records without
@@ -118,23 +68,33 @@ Document parse_document(const std::string& path) {
   if (!is) die("cannot open " + path);
   std::stringstream buf;
   buf << is.rdbuf();
-  const std::string s = buf.str();
-
-  const std::size_t key = s.find("\"records\"");
-  if (key == std::string::npos) die(path + ": no \"records\" array");
-  std::size_t i = s.find('[', key);
-  if (i == std::string::npos) die(path + ": no '[' after \"records\"");
-  ++i;
+  pipad::api::Json root;
+  try {
+    root = pipad::api::Json::parse(buf.str());
+  } catch (const pipad::Error& e) {
+    die(path + ": " + e.what());
+  }
+  const pipad::api::Json* records =
+      root.is_object() ? root.find("records") : nullptr;
+  if (records == nullptr || !records->is_array()) {
+    die(path + ": no \"records\" array");
+  }
   Document doc;
-  for (;;) {
-    skip_ws(s, i);
-    if (i >= s.size()) die(path + ": unterminated records array");
-    if (s[i] == ']') break;
-    if (s[i] != '{') die(path + ": expected record object");
-    doc.records.push_back(parse_record(s, i));
-    check_schema(path, doc.records.back());
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') ++i;
+  for (const auto& item : records->items()) {
+    if (!item.is_object()) die(path + ": expected record object");
+    Record r;
+    for (const auto& [key, v] : item.members()) {
+      if (v.is_string()) {
+        r.strings[key] = v.as_string();
+      } else if (v.is_number()) {
+        r.numbers[key] = v.as_number();
+      } else {
+        die(path + ": record field \"" + key +
+            "\" is neither a string nor a number");
+      }
+    }
+    check_schema(path, r);
+    doc.records.push_back(std::move(r));
   }
   return doc;
 }

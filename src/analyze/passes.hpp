@@ -9,8 +9,8 @@
 //   transfer_bound      PCIe copies carry a large share of the critical
 //                       path and are not hidden under compute.
 //   prep_bound          host-side preparation (worker `prep:*` ops) runs
-//                       with no training compute in flight — the batch-
-//                       extractor signature a streamed schedule removes.
+//                       with no training compute in flight — exposure a
+//                       streamed schedule hides.
 //   compute_imbalance   per-worker-lane busy time is skewed: some lanes
 //                       idle while the busiest one gates progress.
 //   stream_backpressure foreground `wait:` ops during which every other
@@ -59,20 +59,22 @@ struct Finding {
   std::vector<std::pair<std::string, double>> blamed;
   std::string detail;  ///< One human-readable sentence.
   /// compute_imbalance only: blocks the work-stealing executor moved off
-  /// their home slot inside the window (0 elsewhere, and for v1 traces).
+  /// their home slot inside the window (0 elsewhere).
   /// Residual skew *despite* steals points at block granularity, not at
   /// the scheduler.
   std::uint64_t steals = 0;
 };
 
 /// Tunable detection thresholds, all as fractions of the makespan (or of
-/// per-window spans for serialization). Defaults are calibrated against
-/// the ablation_tuner traces: the batch-prep run trips prep_bound, the
-/// streamed run does not.
+/// per-window spans for serialization). The AnalyzePasses tests pin each
+/// one with a hand-built schedule that trips it and one that stays silent.
 struct PassOptions {
   double transfer_bound_frac = 0.25;   ///< Crit-path transfer share.
   double prep_bound_frac = 0.04;       ///< Exclusive-prep share of makespan
-                                       ///< (batch ablation ~7%, stream ~2%).
+                                       ///< (streamed ablation_tuner ~2%;
+                                       ///< extracting every partition
+                                       ///< before the first steady frame
+                                       ///< exposed ~7%).
   double imbalance_skew = 0.25;        ///< (max-min)/max lane busy.
   double imbalance_busy_frac = 0.10;   ///< Busiest lane / makespan floor.
   double backpressure_frac = 0.05;     ///< Dead-wait share of makespan.

@@ -8,8 +8,8 @@
 // (read_trace_csv / read_trace_file). The CSV reader understands the
 // optional `# pipad-trace v2` metadata header that labels a trace with the
 // (dataset, model, method) key the bench_diff-compatible JSON report uses,
-// and accepts both the 7-field v1 row layout and the 9-field v2 one
-// (v2 appends the region executor's steals,blocks counters).
+// and accepts exactly the 9-field row layout write_trace_csv emits (the
+// last two fields are the region executor's steals,blocks counters).
 #pragma once
 
 #include <istream>

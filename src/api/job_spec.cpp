@@ -74,12 +74,6 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
     o.features = value;
   } else if (flag == "--cache-dir") {
     o.cache_dir = value;
-  } else if (flag == "--prep") {
-    if (value != "stream" && value != "batch") {
-      error = "unknown prep mode '" + value + "' (expected stream | batch)";
-      return FlagStatus::Error;
-    }
-    o.prep = value;
   } else if (flag == "--replicas") {
     if (!parse_ll(value, n) || n < 0 || n > 64) {
       error = "--replicas expects an integer in [0, 64], got '" + value + "'";
@@ -163,9 +157,6 @@ std::string JobSpec::validate() const {
   replica::AllReduceAlgo algo;
   if (!replica::parse_allreduce(allreduce, algo)) {
     return "unknown allreduce '" + allreduce + "' (expected ring | tree)";
-  }
-  if (prep != "stream" && prep != "batch") {
-    return "unknown prep mode '" + prep + "' (expected stream | batch)";
   }
   if (nodes <= 0 || epochs <= 0 || frame_size <= 0 || feat_dim <= 0 ||
       events <= 0) {
@@ -269,7 +260,6 @@ Json JobSpec::to_json() const {
   j.set("frame_size", frame_size);
   j.set("frames", frames);
   j.set("threads", threads);
-  j.set("prep", prep);
   j.set("replicas", replicas);
   j.set("allreduce", allreduce);
   j.set("seed", seed);
@@ -328,7 +318,6 @@ bool JobSpec::from_json(const Json& j, JobSpec& spec, std::string& error) {
         out.frame_size = int_field(v, "frame_size");
       } else if (key == "frames") out.frames = int_field(v, "frames");
       else if (key == "threads") out.threads = int_field(v, "threads");
-      else if (key == "prep") out.prep = v.as_string();
       else if (key == "replicas") out.replicas = int_field(v, "replicas");
       else if (key == "allreduce") out.allreduce = v.as_string();
       else if (key == "seed") {
@@ -391,7 +380,6 @@ std::string flags_help() {
       "  --frames N         max frames per epoch, 0 = all  [4]\n"
       "  --threads N        ComputePool worker lanes (host prep + numeric\n"
       "                     kernels), 0 = default  [0]\n"
-      "  --prep MODE        host prep mode, stream | batch  [stream]\n"
       "  --replicas K       replicated data-parallel training across K\n"
       "                     simulated devices (pipad runtime only; losses\n"
       "                     and params are bit-identical for every K and\n"

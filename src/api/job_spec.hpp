@@ -54,7 +54,6 @@ struct JobSpec {
                             ///< default; the serve daemon pins one width
                             ///< for every job — numerics are unaffected by
                             ///< the thread-invariance contract).
-  std::string prep = "stream";     ///< Host prep mode: stream | batch.
   int replicas = 0;         ///< >=1: replicated data-parallel training
                             ///< across K simulated devices (pipad only).
   std::string allreduce = "ring";  ///< --replicas interconnect: ring | tree.

@@ -114,7 +114,6 @@ models::TrainConfig train_config(const JobSpec& o) {
 runtime::PipadOptions pipad_options(const JobSpec& o) {
   runtime::PipadOptions popts;
   popts.host_threads = o.threads;  // 0 = HostLane default.
-  popts.stream_prep = o.prep != "batch";
   popts.replicas = o.replicas;
   popts.allreduce = o.allreduce;
   return popts;

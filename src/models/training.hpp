@@ -34,9 +34,9 @@ struct TrainResult {
   double sm_utilization = 0.0;  ///< Compute busy fraction (Fig. 3 right axis).
   double device_active = 0.0;   ///< nvidia-smi style utilization (Table 2).
   /// Sim time at which the first steady-state frame fully finished (host
-  /// issue, transfers, kernels) — the latency the streaming extractor
-  /// shrinks vs the batch one. 0 when no steady epoch ran (PiPAD only;
-  /// baselines have no steady state).
+  /// issue, transfers, kernels) — the latency streamed partition
+  /// extraction keeps short on long timelines. 0 when no steady epoch ran
+  /// (PiPAD only; baselines have no steady state).
   double first_steady_us = 0.0;
 
   /// Blocks the work-stealing region executor moved off their home slot,

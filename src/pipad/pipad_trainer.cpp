@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "host/host_lane.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/stats_builders.hpp"
@@ -399,24 +398,28 @@ struct PipadTrainer::Impl {
   StreamId copy_stream;
   GpuReuseBuffer gpu_buffer;
 
+  /// A steady-state partition and the sim time its extraction retired.
+  struct ReadyPartition {
+    sliced::FramePartition part;
+    EventId ready;
+  };
+
   std::vector<SlicedSnapshot> sliced;
-  std::map<std::pair<int, int>, sliced::FramePartition> partition_cache;
-  std::map<std::pair<int, int>, gpusim::EventId> partition_ready;
+  std::map<std::pair<int, int>, ReadyPartition> partition_cache;
   std::map<int, int> decisions;  ///< frame start -> S_per.
   bool steady_prepared = false;
   bool final_epoch = false;  ///< Partitions behind the window get retired.
 
-  // Step-wise driving state (replica mode; unused on the classic path).
-  std::vector<graph::Frame> step_frames;
-  std::vector<nn::Parameter*> step_params;
-  bool step_prep = false;
-  bool step_first_steady = false;
-  double step_first_steady_us = 0.0;
+  // Frame-driving state, shared by train() and the replica driver.
+  std::vector<graph::Frame> frames;
+  std::vector<nn::Parameter*> params;
+  bool prep_epoch = false;
+  std::optional<double> first_steady_us;
 
-  // Streaming steady-state extraction (stream_prep): jobs write disjoint
-  // stream_parts slots; partition() retires them in first-use order. The
-  // stream is declared last so it is destroyed (and drained) before the
-  // slots its in-flight jobs write into.
+  // Streaming steady-state extraction: jobs write disjoint stream_parts
+  // slots; partition() retires them in first-use order. The stream is
+  // declared last so it is destroyed (and drained) before the slots its
+  // in-flight jobs write into.
   std::vector<std::pair<int, int>> stream_keys;
   std::map<std::pair<int, int>, std::size_t> stream_index;
   std::vector<sliced::FramePartition> stream_parts;
@@ -482,7 +485,7 @@ struct PipadTrainer::Impl {
   /// scans run as parallel lane jobs into disjoint slots; the reduction is
   /// a serial pass on the main thread so the statistics are bit-identical
   /// for every thread count.
-  void run_profiling(const std::vector<graph::Frame>& frames) {
+  void run_profiling() {
     int lo = data.num_snapshots(), hi = 0;
     for (const auto& f : frames) {
       lo = std::min(lo, f.start);
@@ -522,98 +525,58 @@ struct PipadTrainer::Impl {
             sizeof(float);
   }
 
-  const sliced::FramePartition& partition(int start, int count) {
-    auto key = std::make_pair(start, count);
+  /// The partition for (start, count), taken from the extraction stream on
+  /// first use (§4.3): block only until *this* partition's job retires —
+  /// the wait is real, so the simulated CPU pays exactly it. Every key a
+  /// steady frame asks for was queued by prepare_steady (same cached
+  /// decide_sper, same frame list), so a key missing from the stream is a
+  /// bug and throws.
+  const ReadyPartition& partition(int start, int count) {
+    const auto key = std::make_pair(start, count);
     auto it = partition_cache.find(key);
     if (it != partition_cache.end()) return it->second;
 
-    const auto si = stream_index.find(key);
-    if (prep_stream && si != stream_index.end()) {
-      // Streamed extraction (§4.3): block only until *this* partition's job
-      // retires — the wait is real, so the simulated CPU pays exactly it.
-      const double end = prep_stream->wait(si->second);
-      gpu.cpu_wait_until("overlap-extract", end);
-      partition_ready[key] = gpu.timeline().record_event_at(end);
-      it = partition_cache.emplace(key, std::move(stream_parts[si->second]))
-               .first;
-      return it->second;
-    }
-
-    // On-demand miss (prepare_steady covers the common case): build with
-    // the pool-parallel path and charge the measured wall-clock to every
-    // lane the build occupied.
-    Timer timer;
-    auto part = sliced::build_partition(data, start, count,
-                                        opts.slice_bound, &lane.pool());
-    // The build fans out into 2 overlap + 2*count exclusive slice tasks;
-    // only that many lanes were busy.
-    const double end =
-        lane.charge_all("overlap-extract", timer.elapsed_us(), 0.0,
-                        2 + 2 * static_cast<std::size_t>(count));
-    partition_ready[key] = gpu.timeline().record_event_at(end);
-    it = partition_cache.emplace(key, std::move(part)).first;
+    const std::size_t j = stream_index.at(key);
+    const double end = prep_stream->wait(j);
+    gpu.cpu_wait_until("overlap-extract", end);
+    const EventId ready = gpu.timeline().record_event_at(end);
+    it = partition_cache
+             .emplace(key, ReadyPartition{std::move(stream_parts[j]), ready})
+             .first;
     return it->second;
   }
 
   /// One-off steady-state preparation (§4.3): decide S_per for every frame,
-  /// then extract every needed partition on the worker lanes (❷). With
-  /// stream_prep the extraction jobs are *streamed* in first-use order with
-  /// a bounded in-flight window: the first steady frame's transfers
-  /// (and the main thread) wait only on the jobs that built its own
-  /// partitions, not the whole batch. The legacy path extracts everything
-  /// as one batch and blocks the main thread until it drains — which the
-  /// simulation now charges too (cpu_wait_until), as the real code always
-  /// paid it.
-  void prepare_steady(const std::vector<graph::Frame>& frames) {
+  /// then stream the extraction of every needed partition (❷) onto the
+  /// worker lanes in first-use order with a bounded in-flight window: the
+  /// first steady frame's transfers (and the main thread) wait only on the
+  /// jobs that built its own partitions.
+  void prepare_steady(const std::vector<graph::Frame>& prep_frames) {
     if (steady_prepared) return;
     steady_prepared = true;
-    std::vector<std::pair<int, int>> keys;
-    for (const auto& frame : frames) {
+    for (const auto& frame : prep_frames) {
       const int s = decide_sper(frame);
       int pos = frame.start;
       const int end = std::min(frame.end(), data.num_snapshots());
       while (pos < end) {
         const int take = std::min(s, end - pos);
-        const auto key = std::make_pair(pos, take);
         // Sliding frames revisit partitions; extract each key once. Frame
         // order IS first-use order, which the stream preserves.
-        if (partition_cache.count(key) == 0 &&
-            std::find(keys.begin(), keys.end(), key) == keys.end()) {
-          keys.push_back(key);
+        if (stream_index.emplace(std::make_pair(pos, take), stream_keys.size())
+                .second) {
+          stream_keys.emplace_back(pos, take);
         }
         pos += take;
       }
     }
-    if (keys.empty()) return;
-
-    if (opts.stream_prep) {
-      stream_keys = keys;
-      stream_parts.assign(keys.size(), {});
-      for (std::size_t j = 0; j < keys.size(); ++j) stream_index[keys[j]] = j;
-      prep_stream = lane.stream(
-          "overlap-extract", keys.size(), [this](std::size_t j) {
-            stream_parts[j] = sliced::build_partition(
-                data, stream_keys[j].first, stream_keys[j].second,
-                opts.slice_bound);
-          });
-      return;
-    }
-
-    std::vector<sliced::FramePartition> parts(keys.size());
-    const auto batch = lane.run(
-        "overlap-extract", keys.size(), [&](std::size_t j) {
-          parts[j] = sliced::build_partition(data, keys[j].first,
-                                             keys[j].second,
-                                             opts.slice_bound);
+    if (stream_keys.empty()) return;
+    stream_parts.assign(stream_keys.size(), {});
+    prep_stream = lane.stream(
+        "overlap-extract", stream_keys.size(), [this](std::size_t j) {
+          stream_parts[j] = sliced::build_partition(
+              data, stream_keys[j].first, stream_keys[j].second,
+              opts.slice_bound);
         });
-    for (std::size_t j = 0; j < keys.size(); ++j) {
-      partition_ready[keys[j]] =
-          gpu.timeline().record_event_at(batch.job_end_us[j]);
-      partition_cache.emplace(keys[j], std::move(parts[j]));
-    }
-    // The real main thread blocked on the whole batch before the first
-    // steady frame could start; charge the same wait to the simulation.
-    gpu.cpu_wait_until("prepare-steady", batch.end_us);
   }
 
   /// Dynamic tuner (§4.4): pick S_per for a frame (pipad/tuner.hpp has the
@@ -646,12 +609,12 @@ struct PipadTrainer::Impl {
   }
 
   std::vector<graph::Frame> epoch_frames() const {
-    auto frames = graph::frames_of(data, cfg.frame_size);
+    auto out = graph::frames_of(data, cfg.frame_size);
     if (cfg.max_frames_per_epoch > 0 &&
-        static_cast<int>(frames.size()) > cfg.max_frames_per_epoch) {
-      frames.resize(cfg.max_frames_per_epoch);
+        static_cast<int>(out.size()) > cfg.max_frames_per_epoch) {
+      out.resize(cfg.max_frames_per_epoch);
     }
-    return frames;
+    return out;
   }
 
   /// GPU reuse-buffer budget: what is left after the working set, capped.
@@ -663,23 +626,16 @@ struct PipadTrainer::Impl {
                               : 0);
   }
 
+  /// Classic single-device run: the step-wise driver with a per-frame
+  /// optimizer step.
   TrainResult train() {
-    TrainResult result;
-    auto frames = epoch_frames();
-    auto params = model->params();
-
     // Kernel regions measured before training (dataset generation, other
     // trainers in the same process) are not this run's to charge.
     ComputePool::instance().discard_regions();
-    run_analyzer();
-    run_profiling(frames);
-    set_reuse_budget();
-
-    bool first_steady_recorded = false;
+    begin_steps();
+    std::vector<float> losses;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const bool prep = epoch < kPreparingEpochs;
-      final_epoch = epoch == cfg.epochs - 1;
-      if (!prep) prepare_steady(frames);
+      begin_epoch(epoch, frames);
       for (const auto& frame : frames) {
         if (opts.cancel != nullptr &&
             opts.cancel->load(std::memory_order_relaxed)) {
@@ -687,34 +643,31 @@ struct PipadTrainer::Impl {
           // HostStream destructor, so cancelling never leaks pool work.
           throw Cancelled();
         }
-        if (prep) {
-          result.frame_loss.push_back(
-              train_prep_frame(frame, params, /*step=*/true));
-        } else {
-          result.frame_loss.push_back(
-              train_steady_frame(frame, params, /*step=*/true));
-          if (!first_steady_recorded) {
-            first_steady_recorded = true;
-            // Sim time at which the first steady frame fully finished: its
-            // host issue work, transfers and kernels. Streaming prep pulls
-            // this in on long timelines (the batch extractor made it wait
-            // for every partition).
-            const auto& tl = gpu.timeline();
-            result.first_steady_us = std::max(
-                {tl.stream_ready(exec.compute_stream()),
-                 tl.stream_ready(copy_stream),
-                 tl.resource_ready(gpusim::Resource::Cpu)});
-          }
-        }
+        losses.push_back(train_frame(frame, /*step=*/true));
       }
     }
-    models::summarize_timeline(gpu.timeline(), result);
+    TrainResult result = finish_steps();
+    result.frame_loss = std::move(losses);
     return result;
   }
 
-  float train_prep_frame(const graph::Frame& frame,
-                         const std::vector<nn::Parameter*>& params,
-                         bool step) {
+  /// One frame at the current params. `step` = per-frame optimizer step;
+  /// the replica driver passes false and steps after the round's reduce.
+  float train_frame(const graph::Frame& frame, bool step) {
+    if (prep_epoch) return train_prep_frame(frame, step);
+    const float loss = train_steady_frame(frame, step);
+    if (!first_steady_us) {
+      // Sim time at which the first steady frame fully finished: its host
+      // issue work, transfers and kernels.
+      const auto& tl = gpu.timeline();
+      first_steady_us = std::max({tl.stream_ready(exec.compute_stream()),
+                                  tl.stream_ready(copy_stream),
+                                  tl.resource_ready(gpusim::Resource::Cpu)});
+    }
+    return loss;
+  }
+
+  float train_prep_frame(const graph::Frame& frame, bool step) {
     // One-snapshot fashion with asynchronous pinned transfers (§4.3).
     std::vector<std::optional<EventId>> evs(frame.size);
     std::size_t frame_bytes = 0;
@@ -734,22 +687,21 @@ struct PipadTrainer::Impl {
                                   frame_bytes + activation_bytes(frame),
                                   "prep frame");
     exec.begin_prep_frame(frame, std::move(evs));
-    return run_model(frame, params, step);
+    return run_model(frame, step);
   }
 
-  float train_steady_frame(const graph::Frame& frame,
-                           const std::vector<nn::Parameter*>& params,
-                           bool step) {
+  float train_steady_frame(const graph::Frame& frame, bool step) {
     const int s = decide_sper(frame);
     std::vector<const sliced::FramePartition*> parts;
-    std::vector<std::pair<int, int>> part_keys;
+    std::vector<EventId> part_ready;
     {
       int pos = frame.start;
       const int end = std::min(frame.end(), data.num_snapshots());
       while (pos < end) {
         const int take = std::min(s, end - pos);
-        parts.push_back(&partition(pos, take));
-        part_keys.emplace_back(pos, take);
+        const ReadyPartition& rp = partition(pos, take);
+        parts.push_back(&rp.part);
+        part_ready.push_back(rp.ready);
         pos += take;
       }
     }
@@ -785,10 +737,7 @@ struct PipadTrainer::Impl {
       if (bytes > 0) {
         // The partition's data cannot ship before its overlap extraction
         // completed on the background lane (§4.3).
-        const auto ready_it = partition_ready.find(part_keys[pi]);
-        if (ready_it != partition_ready.end()) {
-          gpu.wait_event(copy_stream, ready_it->second);
-        }
+        gpu.wait_event(copy_stream, part_ready[pi]);
         if (opts.enable_pipeline) {
           gpu.memcpy_h2d(copy_stream, "partition", bytes, /*pinned=*/true);
           evs[pi] = gpu.record_event(copy_stream);
@@ -802,7 +751,7 @@ struct PipadTrainer::Impl {
                                   frame_bytes + activation_bytes(frame),
                                   "steady frame");
     exec.begin_steady_frame(frame, std::move(parts), std::move(evs));
-    const float loss = run_model(frame, params, step);
+    const float loss = run_model(frame, step);
     // Frames slide forward by one: results before the next frame's start
     // will never be used again.
     gpu_buffer.evict_before(frame.start + 1);
@@ -820,7 +769,6 @@ struct PipadTrainer::Impl {
   void retire_partitions_before(int bound) {
     for (auto it = partition_cache.begin(); it != partition_cache.end();) {
       if (it->first.first + it->first.second <= bound) {
-        partition_ready.erase(it->first);
         it = partition_cache.erase(it);
       } else {
         ++it;
@@ -836,8 +784,7 @@ struct PipadTrainer::Impl {
   /// `step` = classic per-frame optimizer step. The replica driver passes
   /// false: the frame's gradients stay in the params for the round's
   /// canonical reduction, and apply_step() advances the optimizer later.
-  float run_model(const graph::Frame& frame,
-                  const std::vector<nn::Parameter*>& params, bool step) {
+  float run_model(const graph::Frame& frame, bool step) {
     std::vector<const Tensor*> xs, ys;
     for (int i = 0; i < frame.size; ++i) {
       xs.push_back(&data.snapshots[frame.start + i].features);
@@ -845,13 +792,7 @@ struct PipadTrainer::Impl {
     }
     nn::zero_grads(params);
     const float loss = model->train_frame(exec, xs, ys);
-    if (step) {
-      optim.step(params);
-      for (const auto* p : params) {
-        exec.record("ew:optim",
-                    kernels::elementwise_stats(p->value.size(), 3, 8));
-      }
-    }
+    if (step) optimizer_step();
     exec.flush();
     // The frame's numeric kernels ran for real on the ComputePool; charge
     // their measured wall-clock to the worker lanes they occupied (§4.2's
@@ -861,49 +802,37 @@ struct PipadTrainer::Impl {
     return loss;
   }
 
-  // ---- Step-wise driving (replica mode) ----
-
-  const std::vector<graph::Frame>& begin_steps() {
-    step_frames = epoch_frames();
-    step_params = model->params();
-    run_analyzer();
-    // Profiling always covers the FULL epoch frame list, even though this
-    // replica will train only a subset: the tuner statistics (and so every
-    // S_per decision, which changes float summation order) must be a pure
-    // function of the dataset, never of the replica count.
-    run_profiling(step_frames);
-    set_reuse_budget();
-    return step_frames;
-  }
-
-  void begin_epoch(int epoch, const std::vector<graph::Frame>& prep_frames) {
-    step_prep = epoch < kPreparingEpochs;
-    final_epoch = epoch == cfg.epochs - 1;
-    if (!step_prep) prepare_steady(prep_frames);
-  }
-
-  float grad_frame(const graph::Frame& frame) {
-    if (step_prep) {
-      return train_prep_frame(frame, step_params, /*step=*/false);
-    }
-    const float loss = train_steady_frame(frame, step_params, /*step=*/false);
-    if (!step_first_steady) {
-      step_first_steady = true;
-      const auto& tl = gpu.timeline();
-      step_first_steady_us =
-          std::max({tl.stream_ready(exec.compute_stream()),
-                    tl.stream_ready(copy_stream),
-                    tl.resource_ready(gpusim::Resource::Cpu)});
-    }
-    return loss;
-  }
-
-  void apply_step() {
-    optim.step(step_params);
-    for (const auto* p : step_params) {
+  void optimizer_step() {
+    optim.step(params);
+    for (const auto* p : params) {
       exec.record("ew:optim",
                   kernels::elementwise_stats(p->value.size(), 3, 8));
     }
+  }
+
+  // ---- Step-wise driving (train() and the replica driver) ----
+
+  const std::vector<graph::Frame>& begin_steps() {
+    frames = epoch_frames();
+    params = model->params();
+    run_analyzer();
+    // Profiling always covers the FULL epoch frame list, even though a
+    // replica will train only a subset: the tuner statistics (and so every
+    // S_per decision, which changes float summation order) must be a pure
+    // function of the dataset, never of the replica count.
+    run_profiling();
+    set_reuse_budget();
+    return frames;
+  }
+
+  void begin_epoch(int epoch, const std::vector<graph::Frame>& prep_frames) {
+    prep_epoch = epoch < kPreparingEpochs;
+    final_epoch = epoch == cfg.epochs - 1;
+    if (!prep_epoch) prepare_steady(prep_frames);
+  }
+
+  void apply_step() {
+    optimizer_step();
     exec.flush();
   }
 
@@ -924,7 +853,7 @@ struct PipadTrainer::Impl {
 
   TrainResult finish_steps() {
     TrainResult result;
-    result.first_steady_us = step_first_steady_us;
+    result.first_steady_us = first_steady_us.value_or(0.0);
     models::summarize_timeline(gpu.timeline(), result);
     return result;
   }
@@ -954,13 +883,13 @@ void PipadTrainer::begin_epoch(int epoch,
 }
 
 float PipadTrainer::grad_frame(const graph::Frame& frame) {
-  return impl_->grad_frame(frame);
+  return impl_->train_frame(frame, /*step=*/false);
 }
 
 void PipadTrainer::apply_step() { impl_->apply_step(); }
 
 const std::vector<nn::Parameter*>& PipadTrainer::params() const {
-  return impl_->step_params;
+  return impl_->params;
 }
 
 void PipadTrainer::set_stage_ready(double ready_us) {

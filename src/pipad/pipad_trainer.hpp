@@ -45,11 +45,6 @@ struct PipadOptions {
   /// charged to the worker lane(s) it ran on. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
-  /// Steady-state prep extraction: true streams partitions in first-use
-  /// order with a bounded in-flight window (2x the pool width), so the
-  /// first steady frame waits only on its own partition; false restores
-  /// the one-batch extractor (kept for the ablation_tuner comparison).
-  bool stream_prep = true;
   /// Cooperative cancellation: when non-null and set, training throws
   /// pipad::Cancelled at the next frame (or replica-round) boundary. The
   /// pointee must outlive the trainer; the serve scheduler points it at the
@@ -89,8 +84,8 @@ class PipadTrainer {
   // optimizer schedule: grad_frame() trains one frame at the current
   // parameters WITHOUT stepping, the driver reduces the gradients across
   // the round in canonical order, then apply_step() advances this
-  // trainer's Adam. train() is exactly the old per-frame-step path and
-  // never goes through these.
+  // trainer's Adam. train() drives the same per-frame function with the
+  // optimizer step folded into each frame.
 
   /// Analyzer + profiling over the full epoch frame list (so tuner inputs
   /// are replica-invariant) + reuse budget. Returns the frame list. Does

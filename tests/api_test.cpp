@@ -148,7 +148,6 @@ JobSpec full_spec() {
   s.frame_size = 4;
   s.frames = 2;
   s.threads = 2;
-  s.prep = "batch";
   s.replicas = 0;
   s.allreduce = "tree";
   s.seed = 4294967300ull;
@@ -186,7 +185,6 @@ TEST(JobSpec, JsonRoundTripIsLossless) {
   EXPECT_EQ(back.frame_size, s.frame_size);
   EXPECT_EQ(back.frames, s.frames);
   EXPECT_EQ(back.threads, s.threads);
-  EXPECT_EQ(back.prep, s.prep);
   EXPECT_EQ(back.replicas, s.replicas);
   EXPECT_EQ(back.allreduce, s.allreduce);
   EXPECT_EQ(back.seed, s.seed);
@@ -223,14 +221,19 @@ TEST(JobSpec, FromJsonIsStrict) {
 }
 
 TEST(JobSpec, FromJsonRejectsTheRemovedTunerField) {
-  // The S_per tuner has one (analytic) mode, so the wire has no "tuner"
-  // field: an old client that still sends it is told so, not ignored.
+  // The S_per tuner has one (analytic) mode and host prep one (streamed)
+  // extractor, so the wire has no "tuner" or "prep" field: an old client
+  // that still sends one is told so, not ignored.
   JobSpec out;
   std::string error;
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"tuner":"analytic"})"),
                                   out, error));
   EXPECT_EQ(error, "unknown job spec field \"tuner\"");
   EXPECT_EQ(JobSpec().to_json().find("tuner"), nullptr);
+  EXPECT_FALSE(
+      JobSpec::from_json(Json::parse(R"({"prep":"stream"})"), out, error));
+  EXPECT_EQ(error, "unknown job spec field \"prep\"");
+  EXPECT_EQ(JobSpec().to_json().find("prep"), nullptr);
 }
 
 TEST(JobSpec, FromJsonRejectsIntOverflowLikeTheFlagPath) {

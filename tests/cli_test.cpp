@@ -194,7 +194,7 @@ TEST(CliUsage, MentionsEverySubcommandAndModel) {
   const std::string u = usage();
   for (const char* s : {"train", "bench", "trace", "analyze", "gcn", "tgcn",
                         "evolvegcn", "mpnn-lstm", "--snapshots", "--threads",
-                        "--trace", "--fail-above", "--prep", "--top"}) {
+                        "--trace", "--fail-above", "--top"}) {
     EXPECT_NE(u.find(s), std::string::npos) << s;
   }
 }
@@ -296,11 +296,6 @@ TEST(CliParse, AnalyzeFlagsLand) {
 }
 
 TEST(CliParse, AnalyzeFlagValidation) {
-  // Live analyze runs accept --prep; trace-file runs don't (the schedule
-  // is already baked into the file).
-  EXPECT_TRUE(parse({"analyze", "--prep", "batch"}).ok);
-  EXPECT_FALSE(parse({"analyze", "--prep", "eager"}).ok);
-  EXPECT_FALSE(parse({"analyze", "--trace", "a.csv", "--prep", "batch"}).ok);
   EXPECT_FALSE(parse({"analyze", "--trace", ""}).ok);
   EXPECT_FALSE(parse({"analyze", "--top", "0"}).ok);
   EXPECT_FALSE(parse({"analyze", "--fail-above", "critical"}).ok);
@@ -408,9 +403,11 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
             bench_error({"--model=transformer"}));
   EXPECT_EQ(cli_error({"train", "--runtime", "cuda"}),
             bench_error({"--runtime=cuda"}));
-  // The removed tuner flag is unknown on both surfaces.
+  // The removed tuner and prep flags are unknown on both surfaces.
   EXPECT_EQ(cli_error({"train", "--tuner=analytic"}),
             bench_error({"--tuner=analytic"}));
+  EXPECT_EQ(cli_error({"analyze", "--prep=batch"}),
+            bench_error({"--prep=batch"}));
   EXPECT_EQ(cli_error({"train", "--epochs", "0"}),
             bench_error({"--epochs=0"}));
   EXPECT_EQ(cli_error({"train", "--replicas", "65"}),

@@ -305,6 +305,9 @@ TEST(Pipad, LossKeepsDecreasingAcrossEpochs) {
   ASSERT_GE(r.frame_loss.size(), 12u);
   EXPECT_LT(r.frame_loss.back(), r.frame_loss.front());
   for (float l : r.frame_loss) EXPECT_TRUE(std::isfinite(l));
+  // Steady epochs ran, so the first steady frame finished inside the run.
+  EXPECT_GT(r.first_steady_us, 0.0);
+  EXPECT_LE(r.first_steady_us, r.total_us);
 }
 
 // ---------- GPU reuse buffer ----------

@@ -140,6 +140,9 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
   }
   // The reported makespan is the slowest replica's.
   EXPECT_DOUBLE_EQ(r.total_us, max_total);
+  // The second epoch is steady: replica 0 reports its first steady frame.
+  EXPECT_GT(r.first_steady_us, 0.0);
+  EXPECT_LE(r.first_steady_us, r.total_us);
 
   // Every replica's timeline carries "comm:allreduce:<algo>" ops on the
   // Link lane and its own infeed staging on the worker lanes; replica 0

@@ -178,18 +178,6 @@ inline models::TrainConfig small_cfg(
   return cfg;
 }
 
-/// Long-timeline config: every sliding frame of a 2-epoch T-GCN run, for
-/// tests that need real streaming/backpressure behaviour.
-inline models::TrainConfig long_cfg() {
-  models::TrainConfig cfg;
-  cfg.model = models::ModelType::TGcn;
-  cfg.frame_size = 8;
-  cfg.epochs = 2;  // 1 preparing + 1 steady.
-  cfg.max_frames_per_epoch = 0;  // Every frame of the long timeline.
-  cfg.hidden_dim = 6;
-  return cfg;
-}
-
 /// Flat copy of every parameter tensor (value then grad, in param order) —
 /// the bitwise-comparison payload of the determinism walls.
 inline std::vector<float> flat_params(models::DgnnModel& model) {
@@ -216,17 +204,6 @@ inline std::pair<std::vector<float>, std::vector<float>> train_snapshot(
   runtime::PipadTrainer pip(gpu, g, c, opts);
   const auto r = pip.train();
   return {r.frame_loss, flat_params(pip.model())};
-}
-
-/// Train the long config with streaming or batch prep.
-inline models::TrainResult train_long(const graph::DTDG& g, bool stream_prep,
-                                      int threads) {
-  gpusim::Gpu gpu;
-  runtime::PipadOptions opts;
-  opts.stream_prep = stream_prep;
-  opts.host_threads = threads;
-  runtime::PipadTrainer pip(gpu, g, long_cfg(), opts);
-  return pip.train();
 }
 
 /// Generated DTDG with deterministic per-snapshot edge weights: a pure

@@ -1,7 +1,6 @@
 // Dynamic tuning tests: table-driven decide_sper cases (memory bound,
-// frame bound, forced S_per, pipeline off), the streaming HostStream
-// extractor (backpressure, charging, exceptions), and the
-// first-steady-frame latency regression of streaming vs batch prep.
+// frame bound, forced S_per, pipeline off) and the streaming HostStream
+// extractor (backpressure, charging, exceptions).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +8,6 @@
 #include <thread>
 
 #include "host/host_lane.hpp"
-#include "pipad/pipad_trainer.hpp"
 #include "pipad/tuner.hpp"
 #include "test_util.hpp"
 
@@ -192,29 +190,6 @@ TEST(HostStream, RethrowsTheFirstJobFailureFromWait) {
   // succeeded — every later wait (including on the failed job) throws.
   EXPECT_THROW(stream->wait(2), std::runtime_error);
   EXPECT_THROW(stream->wait(5), std::runtime_error);
-}
-
-// ---------- First-steady-frame latency: streaming vs batch ----------
-
-using testutil::train_long;
-
-TEST(StreamingPrep, FirstSteadyFrameBeatsTheBatchExtractor) {
-  // Long timeline (48 snapshots, ~41 sliding frames), sized so partition
-  // extraction has real measurable cost: the batch extractor makes the
-  // first steady frame wait for every partition, the stream only for its
-  // own. The margin is structural (~40 extractions vs ~2), so the
-  // comparison holds despite run-to-run measurement noise.
-  const auto g = graph::generate(testutil::tiny_config(2048, 48, 2));
-  const auto batch = train_long(g, false, 2);
-  const auto stream = train_long(g, true, 2);
-  EXPECT_GT(batch.first_steady_us, 0.0);
-  EXPECT_GT(stream.first_steady_us, 0.0);
-  EXPECT_LT(stream.first_steady_us, batch.first_steady_us);
-  // Streaming changes scheduling, never math: losses are bit-identical.
-  ASSERT_EQ(batch.frame_loss.size(), stream.frame_loss.size());
-  for (std::size_t i = 0; i < batch.frame_loss.size(); ++i) {
-    EXPECT_EQ(batch.frame_loss[i], stream.frame_loss[i]) << "frame " << i;
-  }
 }
 
 }  // namespace
