@@ -65,16 +65,16 @@ struct RunResult {
 };
 
 /// Time the region `iters` times (plus one untimed warmup) and keep the
-/// fastest run; steal/block counters come from the drained region stats.
+/// fastest run; steal/block counters are the executor's StealStats summed
+/// over the timed runs.
 RunResult run_profile(const Profile& p, bool steal, int iters,
                       std::vector<float>& out) {
   auto& cp = ComputePool::instance();
   cp.set_stealing(steal);
-  cp.discard_regions();
   RunResult r;
   r.min_us = 1e30;
   const auto region = [&] {
-    cp.for_blocks("contention", kRows, kRows * kUniformReps,
+    cp.for_blocks(kRows, kRows * kUniformReps,
                   [&](std::size_t lo, std::size_t hi) {
                     for (std::size_t i = lo; i < hi; ++i) {
                       float acc = static_cast<float>(i) * 0.5f + 1.0f;
@@ -87,7 +87,7 @@ RunResult run_profile(const Profile& p, bool steal, int iters,
                   });
   };
   region();  // Warmup (page faults, pool wakeup).
-  cp.discard_regions();
+  ComputePool::take_steal_stats();
   for (int it = 0; it < iters; ++it) {
     const auto t0 = std::chrono::steady_clock::now();
     region();
@@ -96,12 +96,9 @@ RunResult run_profile(const Profile& p, bool steal, int iters,
         r.min_us,
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
-  auto regions = cp.drain_regions();
-  const auto it = regions.find("contention");
-  if (it != regions.end()) {
-    r.steals = it->second.steals;
-    r.blocks = it->second.blocks;
-  }
+  const auto st = ComputePool::take_steal_stats();
+  r.steals = st.stolen;
+  r.blocks = st.executed;
   return r;
 }
 

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   std::printf("(epochs=%d, frames/epoch=%d, frame size=%d)\n", flags.job.epochs,
               flags.job.frames, flags.job.frame_size);
 
+  bool pipad_wins = true;
   for (auto model : bench::all_models()) {
     std::printf("\n--- %s ---\n", models::model_type_name(model));
     std::printf("%-18s", "Dataset");
@@ -52,19 +53,24 @@ int main(int argc, char** argv) {
       pipad_speedups.push_back(totals[0] / totals.back());
       vs_second_best.push_back(best_baseline / totals.back());
     }
+    const double vs_pygt = geomean(pipad_speedups);
+    const double vs_best = geomean(vs_second_best);
     std::printf(
         "%s geomean PiPAD speedup: %.2fx over PyGT, %.2fx over the best "
         "PyGT variant\n",
-        models::model_type_name(model), geomean(pipad_speedups),
-        geomean(vs_second_best));
+        models::model_type_name(model), vs_pygt, vs_best);
+    if (!(vs_pygt > 1.0 && vs_best > 1.0)) {
+      std::fprintf(stderr, "FAIL: PiPAD does not win in geomean for %s\n",
+                   models::model_type_name(model));
+      pipad_wins = false;
+    }
   }
   std::printf(
-      "\nShape check (Fig. 10): PiPAD wins in geomean for every model; "
-      "PyGT-G is the strongest\nvariant. epoch_us now includes the "
-      "*measured* numeric-kernel execution charged to the\n--threads "
-      "ComputePool lanes (serial COO scatter for the PyG-style baselines, "
-      "row-blocked\nparallel kernels for PiPAD and GE-SpMM), so margins "
-      "tighten on CPU-bound configs and\nthe same run at --threads=8 vs "
-      "--threads=1 shows the real aggregation+GEMM speedup.\n");
-  return report.write_if_requested() ? 0 : 1;
+      "\nShape check (Fig. 10): PiPAD wins in geomean for every model: %s.\n"
+      "Kernels are priced on the simulated device only; the worker lanes "
+      "carry measured\nhost prep (prep:*, including dataset loads), which "
+      "is what can still vary run to run.\n",
+      pipad_wins ? "yes" : "NO");
+  if (!report.write_if_requested()) return 1;
+  return pipad_wins ? 0 : 1;
 }

@@ -58,11 +58,6 @@ struct Finding {
   /// time each contributes to the diagnosis, largest first.
   std::vector<std::pair<std::string, double>> blamed;
   std::string detail;  ///< One human-readable sentence.
-  /// compute_imbalance only: blocks the work-stealing executor moved off
-  /// their home slot inside the window (0 elsewhere).
-  /// Residual skew *despite* steals points at block granularity, not at
-  /// the scheduler.
-  std::uint64_t steals = 0;
 };
 
 /// Tunable detection thresholds, all as fractions of the makespan (or of

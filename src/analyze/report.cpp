@@ -176,7 +176,6 @@ void write_json_report(std::ostream& os, const std::vector<Analysis>& as,
          << "\", \"from_us\": " << fmt1(f.from_us)
          << ", \"to_us\": " << fmt1(f.to_us)
          << ", \"recoverable_us\": " << fmt1(f.recoverable_us)
-         << ", \"steals\": " << f.steals
          << ", \"blame\": \"" << json_escape(blame_string(f))
          << "\", \"detail\": \"" << json_escape(f.detail) << "\"}";
     }

@@ -8,8 +8,7 @@
 // (read_trace_csv / read_trace_file). The CSV reader understands the
 // optional `# pipad-trace v2` metadata header that labels a trace with the
 // (dataset, model, method) key the bench_diff-compatible JSON report uses,
-// and accepts exactly the 9-field row layout write_trace_csv emits (the
-// last two fields are the region executor's steals,blocks counters).
+// and accepts exactly the 7-field row layout write_trace_csv emits.
 #pragma once
 
 #include <istream>

@@ -4,7 +4,7 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "host/host_lane.hpp"
+#include "common/compute_pool.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/stats_builders.hpp"
 #include "nn/optim.hpp"
@@ -251,12 +251,7 @@ struct BaselineTrainer::Impl {
             rng)),
         optim(c.lr),
         exec(g, d, v, o.framework_us_per_launch),
-        copy_stream(g.create_stream("copy")) {
-    // The baselines' numeric kernels execute on the shared ComputePool too;
-    // register matching worker lanes so their measured compute is charged
-    // under the same accounting as PiPAD's.
-    gpu.set_worker_lanes(ComputePool::instance().threads());
-  }
+        copy_stream(g.create_stream("copy")) {}
 
   bool async() const { return variant != Variant::PyGT; }
 
@@ -297,8 +292,8 @@ struct BaselineTrainer::Impl {
     }
     auto params = model->params();
 
-    // Regions measured before this run belong to other work in the process.
-    ComputePool::instance().discard_regions();
+    // Steals counted before this run belong to other work in the process.
+    ComputePool::take_steal_stats();
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
       for (const auto& frame : frames) {
         if (opts.cancel != nullptr &&
@@ -350,13 +345,11 @@ struct BaselineTrainer::Impl {
           exec.record("ew:optim",
                       kernels::elementwise_stats(p->value.size(), 3, 8));
         }
-        // Charge the frame's measured numeric compute to the worker lanes
-        // (same accounting as the PiPAD trainer).
-        host::charge_compute(gpu);
         gpu.memcpy_d2h(copy_stream, "loss", sizeof(float), async());
       }
     }
     models::summarize_timeline(gpu.timeline(), result);
+    result.steals = ComputePool::take_steal_stats().stolen;
     return result;
   }
 };

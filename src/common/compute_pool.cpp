@@ -4,15 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 
 namespace pipad {
 
 namespace {
 
-/// Per-thread CPU time in microseconds. Blocks are costed with this rather
-/// than wall-clock so a machine with fewer cores than pool workers (CI
-/// containers) does not inflate block costs with scheduler interleaving.
+/// Per-thread CPU time in microseconds. The calibration measures with this
+/// rather than wall-clock so scheduler interleaving on a loaded machine
+/// does not inflate its probes.
 double thread_cpu_us() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
   timespec ts{};
@@ -23,25 +22,9 @@ double thread_cpu_us() {
   return 0.0;
 }
 
-/// Place per-block measured costs onto `width` simulated lanes: each block
-/// goes to the least-loaded lane, in block order (ties to the lowest
-/// index). Deterministic — placement depends on the measured costs only,
-/// not on which pool worker happened to execute a block.
-std::vector<double> place_on_lanes(const std::vector<double>& block_us,
-                                   std::size_t width) {
-  std::vector<double> lane_us(std::max<std::size_t>(1, width), 0.0);
-  for (double cost : block_us) {
-    std::size_t best = 0;
-    for (std::size_t l = 1; l < lane_us.size(); ++l) {
-      if (lane_us[l] < lane_us[best]) best = l;
-    }
-    lane_us[best] += cost;
-  }
-  return lane_us;
-}
-
 std::atomic<std::size_t> g_min_block_work{0};      ///< 0 = not calibrated.
 std::atomic<std::size_t> g_min_block_work_pin{0};  ///< Test/bench override.
+thread_local ThreadPool::StealStats t_steals;      ///< See take_steal_stats().
 
 /// One-time measurement of the two quantities the block granularity trades
 /// off: the fixed cost of dispatching one measured block (two thread-CPU
@@ -153,22 +136,10 @@ std::size_t ComputePool::block_count(std::size_t n, std::size_t total_work) {
   return std::min({n, kMaxBlocks, std::max<std::size_t>(1, by_work)});
 }
 
-std::map<std::string, ComputePool::RegionStats>& ComputePool::local_regions() {
-  thread_local std::map<std::string, RegionStats> regions;
-  return regions;
-}
-
-void ComputePool::record_region(const char* name,
-                                const std::vector<double>& lane_us,
-                                std::size_t blocks, std::size_t steals) {
-  RegionStats& r = local_regions()[name];
-  if (r.lane_us.size() < lane_us.size()) r.lane_us.resize(lane_us.size());
-  for (std::size_t l = 0; l < lane_us.size(); ++l) {
-    r.lane_us[l] += lane_us[l];
-  }
-  ++r.count;
-  r.blocks += blocks;
-  r.steals += steals;
+ThreadPool::StealStats ComputePool::take_steal_stats() {
+  const ThreadPool::StealStats out = t_steals;
+  t_steals = {};
+  return out;
 }
 
 ComputePool::Ranges ComputePool::even_ranges(std::size_t n,
@@ -187,90 +158,32 @@ ComputePool::Ranges ComputePool::even_ranges(std::size_t n,
   return ranges;
 }
 
-void ComputePool::for_blocks_erased(const char* name, std::size_t n,
-                                    std::size_t total_work,
+void ComputePool::for_blocks_erased(std::size_t n, std::size_t total_work,
                                     const BlockFn& fn) {
-  run_ranges(name, even_ranges(n, block_count(n, total_work)), total_work,
-             fn);
+  run_ranges(even_ranges(n, block_count(n, total_work)), fn);
 }
 
-void ComputePool::run_ranges(const char* name, const Ranges& ranges,
-                             std::size_t total_work, const BlockFn& fn) {
+void ComputePool::run_ranges(const Ranges& ranges, const BlockFn& fn) {
   if (ranges.empty()) return;
   ThreadPool& candidate = pool();
-  const std::size_t width = candidate.size();
   // A nested region (we *are* a worker of this pool, or the launching
-  // thread inside a block of its own region) must run inline —
-  // submitting would risk deadlock — and must not record: the enclosing
-  // job/region already accounts for its cost.
-  const bool nested = ThreadPool::current_pool() == &candidate;
-  const bool measured = !nested && total_work >= min_block_work();
-
-  if (nested || ranges.size() == 1 || width <= 1) {
-    // Same block layout as the parallel path, so order-sensitive per-block
-    // math stays bit-identical across thread counts.
-    if (!measured) {
-      for (const auto& [lo, hi] : ranges) fn(lo, hi);
-      return;
-    }
-    std::vector<double> block_us(ranges.size(), 0.0);
-    for (std::size_t b = 0; b < ranges.size(); ++b) {
-      const double t0 = thread_cpu_us();
-      fn(ranges[b].first, ranges[b].second);
-      block_us[b] = thread_cpu_us() - t0;
-    }
-    record_region(name, place_on_lanes(block_us, width), ranges.size(), 0);
+  // thread inside a block of its own region) must run inline: submitting
+  // would risk deadlock. Same block layout as the parallel path, so
+  // order-sensitive per-block math stays bit-identical across thread
+  // counts.
+  if (ThreadPool::current_pool() == &candidate || ranges.size() == 1 ||
+      candidate.size() <= 1) {
+    for (const auto& [lo, hi] : ranges) fn(lo, hi);
     return;
   }
-
   // Work-stealing dispatch: blocks preloaded on per-slot deques, one
-  // runner per slot, slot 0 on this thread (ThreadPool::run_blocks). Each
-  // block measures its own cost into a private slot — each runner runs one
-  // block at a time and this thread reads only after the runners join, so
-  // no lock is needed.
-  std::vector<double> block_us(ranges.size(), 0.0);
-  ThreadPool::StealStats st{};
-  std::exception_ptr first;
-  try {
-    st = candidate.run_blocks(
-        ranges.size(),
-        [&](std::size_t b) {
-          const double t0 = thread_cpu_us();
-          fn(ranges[b].first, ranges[b].second);
-          block_us[b] = thread_cpu_us() - t0;
-        },
-        steal_.load(std::memory_order_relaxed));
-  } catch (...) {
-    // run_blocks drained every block before rethrowing the first failure.
-    first = std::current_exception();
-  }
-  if (measured && !first) {
-    record_region(name, place_on_lanes(block_us, width), ranges.size(),
-                  st.stolen);
-  }
-  if (first) std::rethrow_exception(first);
+  // runner per slot, slot 0 on this thread (ThreadPool::run_blocks).
+  const ThreadPool::StealStats st = candidate.run_blocks(
+      ranges.size(),
+      [&](std::size_t b) { fn(ranges[b].first, ranges[b].second); },
+      steal_.load(std::memory_order_relaxed));
+  t_steals.executed += st.executed;
+  t_steals.stolen += st.stolen;
 }
-
-void ComputePool::run_serial(const char* name, std::size_t total_work,
-                             const std::function<void()>& fn) {
-  if (ThreadPool::current_pool() == &pool() ||
-      total_work < min_block_work()) {
-    fn();
-    return;
-  }
-  // One lane: this kernel's access pattern cannot decompose, so its whole
-  // measured cost serializes on the first worker lane.
-  const double t0 = thread_cpu_us();
-  fn();
-  record_region(name, {thread_cpu_us() - t0}, 1, 0);
-}
-
-std::map<std::string, ComputePool::RegionStats> ComputePool::drain_regions() {
-  std::map<std::string, RegionStats> out;
-  out.swap(local_regions());
-  return out;
-}
-
-void ComputePool::discard_regions() { local_regions().clear(); }
 
 }  // namespace pipad

@@ -32,15 +32,14 @@ std::string csv_time(double us) {
 }
 
 void write_rows(const Timeline& tl, std::ostream& os) {
-  // The steals/blocks pair carries the work-stealing region executor's
-  // counters on compute:* worker ops (0 everywhere else). The reader
-  // (analyze::read_trace_csv) accepts exactly this 9-column layout.
-  os << "name,resource,stream,start_us,end_us,bytes,lane,steals,blocks\n";
+  // The reader (analyze::read_trace_csv) accepts exactly this 7-column
+  // layout.
+  os << "name,resource,stream,start_us,end_us,bytes,lane\n";
   for (const auto& rec : tl.records()) {
     os << csv_quote(rec.name) << ',' << resource_name(rec.resource) << ','
        << rec.stream << ',' << csv_time(rec.start_us) << ','
-       << csv_time(rec.end_us) << ',' << rec.bytes << ',' << rec.lane << ','
-       << rec.steals << ',' << rec.blocks << '\n';
+       << csv_time(rec.end_us) << ',' << rec.bytes << ',' << rec.lane
+       << '\n';
   }
 }
 

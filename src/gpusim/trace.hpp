@@ -22,8 +22,7 @@ struct TraceMeta {
   std::string method;
 };
 
-/// One CSV row per op:
-/// name,resource,stream,start_us,end_us,bytes,lane,steals,blocks.
+/// One CSV row per op: name,resource,stream,start_us,end_us,bytes,lane.
 /// Names containing commas, quotes or newlines are double-quoted with ""
 /// escapes; times are written with enough digits to round-trip doubles
 /// exactly, so an analysis of the re-read trace matches the live one bit

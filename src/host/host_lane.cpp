@@ -8,35 +8,25 @@
 
 namespace pipad::host {
 
-std::size_t default_prep_threads() { return default_compute_threads(); }
-
 HostLane::HostLane(gpusim::Gpu& gpu, std::size_t threads) : gpu_(gpu) {
   ComputePool::instance().configure(threads);
   gpu_.set_worker_lanes(pool().size());
 }
 
-BatchResult HostLane::run(const std::string& name, std::size_t n,
-                          const std::function<void(std::size_t)>& job,
-                          double not_before_us) {
-  BatchResult res;
-  res.job_end_us.assign(n, not_before_us);
-  res.end_us = not_before_us;
-  if (n == 0) return res;
+void HostLane::run(const std::string& name, std::size_t n,
+                   const std::function<void(std::size_t)>& job) {
+  if (n == 0) return;
 
-  struct JobRec {
-    std::size_t index;
-    double wall_us;
-  };
   ThreadPool& p = pool();
-  // Indexed by lane; each inner vector is only touched by its own pool
-  // thread, so no lock is needed.
-  std::vector<std::vector<JobRec>> per_lane(p.size());
+  // Measured wall-clock per job, indexed by lane; each inner vector is only
+  // touched by its own pool thread, so no lock is needed.
+  std::vector<std::vector<double>> per_lane(p.size());
 
   auto futs = p.map(n, [&](std::size_t i) {
     const std::size_t lane = ThreadPool::worker_index();
     Timer timer;
     job(i);
-    per_lane[lane].push_back({i, timer.elapsed_us()});
+    per_lane[lane].push_back(timer.elapsed_us());
   });
   // Drain the whole batch before rethrowing so per_lane stays alive for
   // every in-flight job.
@@ -54,13 +44,10 @@ BatchResult HostLane::run(const std::string& name, std::size_t n,
   // thread-safe): per lane, in the order that lane executed its jobs, so
   // the simulated schedule mirrors the real one.
   for (std::size_t lane = 0; lane < per_lane.size(); ++lane) {
-    for (const JobRec& jr : per_lane[lane]) {
-      const double end = gpu_.worker_op(lane, name, jr.wall_us, not_before_us);
-      res.job_end_us[jr.index] = end;
-      res.end_us = std::max(res.end_us, end);
+    for (double wall_us : per_lane[lane]) {
+      gpu_.worker_op(lane, name, wall_us);
     }
   }
-  return res;
 }
 
 double HostLane::charge_all(const std::string& name, double wall_us,
@@ -230,26 +217,6 @@ double charge_load(gpusim::Gpu& gpu, const graph::io::LoadStats& st,
     end = lane.charge_all("load:cache-write", st.cache_us, end, 1);
   }
   return end;
-}
-
-void charge_compute(gpusim::Gpu& gpu) {
-  const auto regions = ComputePool::instance().drain_regions();
-  auto& tl = gpu.timeline();
-  const std::size_t max_lanes = std::max<std::size_t>(1, tl.worker_lanes());
-  for (const auto& [name, region] : regions) {
-    // The executor's steal/block counters describe the region as a whole;
-    // carry them on the first charged lane op so trace consumers see each
-    // region's counters exactly once.
-    bool first_op = true;
-    for (std::size_t lane = 0; lane < region.lane_us.size(); ++lane) {
-      if (region.lane_us[lane] <= 0.0) continue;
-      tl.submit_worker(lane % max_lanes, "compute:" + name,
-                       region.lane_us[lane], 0.0,
-                       first_op ? region.steals : 0,
-                       first_op ? region.blocks : 0);
-      first_op = false;
-    }
-  }
 }
 
 }  // namespace pipad::host

@@ -7,8 +7,8 @@
 // is measured on the pool thread that executed it and charged to the
 // matching simulated CpuWorker lane, so the Timeline shows true prep/device
 // overlap instead of a single-thread measurement divided by an assumed
-// parallelism factor. Per-job simulated completion times come back to the
-// caller so device transfers can wait on exactly the job that produced
+// parallelism factor. Streamed jobs report their simulated completion
+// times so device transfers can wait on exactly the job that produced
 // their data.
 #pragma once
 
@@ -30,18 +30,6 @@ namespace pipad::host {
 
 class HostStream;
 
-/// The library default for host-side prep pools: min(hardware_concurrency,
-/// 8). Prep work saturates well below the core count of a training node;
-/// the paper's testbed dedicates a fraction of a 24-core Xeon to it.
-/// (Alias of default_compute_threads(): prep and compute share one pool.)
-std::size_t default_prep_threads();
-
-/// Simulated completion times of one batch of prep jobs.
-struct BatchResult {
-  std::vector<double> job_end_us;  ///< Per job, indexed like the batch.
-  double end_us = 0.0;             ///< Latest job end (batch completion).
-};
-
 class HostLane {
  public:
   /// Configures the process-wide ComputePool to `threads` workers (0 picks
@@ -59,12 +47,11 @@ class HostLane {
 
   /// Execute job(i) for i in [0, n) on the pool and wait. Every job's
   /// measured wall-clock is charged to the worker lane it actually ran on,
-  /// in that lane's execution order, starting no earlier than
-  /// not_before_us. Results written by the jobs must go to disjoint slots;
-  /// the first job exception is rethrown after the batch drains.
-  BatchResult run(const std::string& name, std::size_t n,
-                  const std::function<void(std::size_t)>& job,
-                  double not_before_us = 0.0);
+  /// in that lane's execution order. Results written by the jobs must go
+  /// to disjoint slots; the first job exception is rethrown after the
+  /// batch drains.
+  void run(const std::string& name, std::size_t n,
+           const std::function<void(std::size_t)>& job);
 
   /// Charge a parallel region driven from the main thread (an
   /// internally-parallel build) for a measured wall_us. `tasks` bounds the
@@ -156,13 +143,6 @@ class HostStream {
   std::vector<bool> retired_;
   std::exception_ptr first_error_;
 };
-
-/// Drain the ComputePool's measured kernel regions and charge each to the
-/// Gpu's worker lanes as a "compute:<name>" op per occupied lane — the same
-/// accounting HostLane applies to prep jobs, so `--threads N` scales the
-/// simulated cost of the numeric hot path from real measurements. Trainers
-/// call this once per trained frame.
-void charge_compute(gpusim::Gpu& gpu);
 
 /// Charge an on-disk dataset load's measured phases (file read, chunked
 /// parse, snapshot build, cache I/O — graph::io::LoadStats) to the Gpu's

@@ -45,7 +45,7 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
   cache.rh = Tensor(rows, hd);
   const float* bz = hz_.bias().value.row(0);
   const float* br = hr_.bias().value.row(0);
-  ops::par_rows("elementwise", rows, 3 * cache.z.size(), [&](int i) {
+  ops::par_rows(rows, 3 * cache.z.size(), [&](int i) {
     const float* azr = az.row(i);
     const float* arr = ar.row(i);
     const float* uzr = uz.row(i);
@@ -66,7 +66,7 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
   cache.n = Tensor(rows, hd);
   Tensor h(rows, hd);
   const float* bn = hn_.bias().value.row(0);
-  ops::par_rows("elementwise", rows, 2 * h.size(), [&](int i) {
+  ops::par_rows(rows, 2 * h.size(), [&](int i) {
     const float* anr = an.row(i);
     const float* unr = un.row(i);
     const float* z = cache.z.row(i);
@@ -95,7 +95,7 @@ Tensor TGcn::step_backward(const StepCache& cache, const Tensor& dh,
   // Candidate branch: d_un = dn * tanh'(n); update gate: d_uz = dz * σ'(z).
   d_uz = Tensor(rows, hd);
   d_un = Tensor(rows, hd);
-  ops::par_rows("elementwise", rows, 2 * dh.size(), [&](int i) {
+  ops::par_rows(rows, 2 * dh.size(), [&](int i) {
     const float* d = dh.row(i);
     const float* z = cache.z.row(i);
     const float* n = cache.n.row(i);
@@ -115,7 +115,7 @@ Tensor TGcn::step_backward(const StepCache& cache, const Tensor& dh,
   // drh ⊙ r here, then the two hidden-transform input grads below.
   d_ur = Tensor(rows, hd);
   Tensor dh_prev(rows, hd);
-  ops::par_rows("elementwise", rows, 2 * dh.size(), [&](int i) {
+  ops::par_rows(rows, 2 * dh.size(), [&](int i) {
     const float* d = dh.row(i);
     const float* z = cache.z.row(i);
     const float* r = cache.r.row(i);
@@ -131,7 +131,7 @@ Tensor TGcn::step_backward(const StepCache& cache, const Tensor& dh,
   });
   const Tensor dxz = hz_.backward(cache.h_prev, d_uz, rec, "rnn.tgcn.hz");
   const Tensor dxr = hr_.backward(cache.h_prev, d_ur, rec, "rnn.tgcn.hr");
-  ops::par_rows("elementwise", rows, dh_prev.size(), [&](int i) {
+  ops::par_rows(rows, dh_prev.size(), [&](int i) {
     const float* xz = dxz.row(i);
     const float* xr = dxr.row(i);
     float* dhp = dh_prev.row(i);

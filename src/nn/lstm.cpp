@@ -50,7 +50,7 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
   // One pass per row: bias add, gate nonlinearities, cell and hidden
   // update. c = f*c_prev + i*g keeps add_inplace's `a + 1.0f * b`. A fused
   // pass quotes its work as the elements it writes (here 7 per h element).
-  ops::par_rows("elementwise", rows, 7 * h.size(), [&](int r) {
+  ops::par_rows(rows, 7 * h.size(), [&](int r) {
     const float* a = gates.row(r);
     const float* cp = c_prev.row(r);
     float* gi = cache.i.row(r);
@@ -92,7 +92,7 @@ std::tuple<Tensor, Tensor, Tensor> LSTMCell::backward(
   // One pass per row: cell-state gradient, gate gradients through the
   // nonlinearities, and the [i|f|g|o] scatter into da. Every da element is
   // written as `0.0f + v`, as add_into_cols into zeros computes it.
-  ops::par_rows("elementwise", rows, da.size() + dc_prev.size(), [&](int r) {
+  ops::par_rows(rows, da.size() + dc_prev.size(), [&](int r) {
     const float* gi = cache.i.row(r);
     const float* gf = cache.f.row(r);
     const float* gg = cache.g.row(r);

@@ -629,9 +629,9 @@ struct PipadTrainer::Impl {
   /// Classic single-device run: the step-wise driver with a per-frame
   /// optimizer step.
   TrainResult train() {
-    // Kernel regions measured before training (dataset generation, other
-    // trainers in the same process) are not this run's to charge.
-    ComputePool::instance().discard_regions();
+    // Steals counted before training (dataset generation, other trainers
+    // in the same process) are not this run's.
+    ComputePool::take_steal_stats();
     begin_steps();
     std::vector<float> losses;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -648,6 +648,7 @@ struct PipadTrainer::Impl {
     }
     TrainResult result = finish_steps();
     result.frame_loss = std::move(losses);
+    result.steals = ComputePool::take_steal_stats().stolen;
     return result;
   }
 
@@ -794,10 +795,6 @@ struct PipadTrainer::Impl {
     const float loss = model->train_frame(exec, xs, ys);
     if (step) optimizer_step();
     exec.flush();
-    // The frame's numeric kernels ran for real on the ComputePool; charge
-    // their measured wall-clock to the worker lanes they occupied (§4.2's
-    // parallel GNN, executed rather than assumed).
-    host::charge_compute(gpu);
     gpu.memcpy_d2h(copy_stream, "loss", sizeof(float), true);
     return loss;
   }

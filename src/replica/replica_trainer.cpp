@@ -99,11 +99,9 @@ struct ReplicaTrainer::Impl {
   }
 
   TrainResult train() {
-    // Regions measured before training (dataset generation, earlier
-    // trainers in this process) are not this run's to charge. Done ONCE
-    // here — the per-trainer step API never discards, so each replica's
-    // frames charge to its own timeline.
-    ComputePool::instance().discard_regions();
+    // Steals counted before training (dataset generation, earlier
+    // trainers in this process) are not this run's.
+    ComputePool::take_steal_stats();
 
     const std::vector<graph::Frame>* frames_ptr = nullptr;
     for (int k = 0; k < K; ++k) frames_ptr = &trainers[k]->begin_steps();
@@ -243,6 +241,7 @@ struct ReplicaTrainer::Impl {
     result.frame_loss = losses;
     result.replicas = K;
     result.allreduce_us = allreduce_total;
+    result.steals = ComputePool::take_steal_stats().stolen;
     for (int k = 0; k < K; ++k) {
       result.replica_total_us.push_back(per[k].total_us);
       result.total_us = std::max(result.total_us, per[k].total_us);

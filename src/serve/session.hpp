@@ -11,8 +11,8 @@
 //
 // Per-job isolation: each job builds its own dataset and gpusim::Gpu (so
 // timelines and memory accounting never mix) while sharing the one pool;
-// per-region charge stats are thread-local in the pool, so concurrent
-// jobs cannot pollute each other's traces.
+// the pool's steal tally is thread-local, so concurrent jobs each report
+// only their own steals.
 //
 // The Session is also the in-process client: serve_test and the wire
 // layer both talk to the same submit/wait/cancel/status surface.

@@ -12,8 +12,8 @@ namespace {
 // bit-identical for any thread count; only mse_loss, whose rounding depends
 // on a cross-row combine order, stays serial.
 template <typename F>
-inline void par_elems(const char* name, std::size_t n, const F& fn) {
-  ComputePool::instance().for_blocks(name, n, n, fn);
+inline void par_elems(std::size_t n, const F& fn) {
+  ComputePool::instance().for_blocks(n, n, fn);
 }
 }  // namespace
 
@@ -51,7 +51,7 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
   const std::size_t work = static_cast<std::size_t>(m) * k * n;
   // Rows of C are independent, so the row-blocked parallel path computes
   // each one in the exact serial order.
-  par_rows("gemm", m, work, [&](int i) {
+  par_rows(m, work, [&](int i) {
     float* crow = c.row(i);
     if (beta == 0.0f) {
       std::fill(crow, crow + n, 0.0f);
@@ -83,7 +83,7 @@ void add_bias(Tensor& y, const Tensor& bias) {
                   "bias shape " << bias.shape_str() << " vs y "
                                 << y.shape_str());
   const float* b = bias.row(0);
-  par_rows("elementwise", y.rows(), y.size(), [&](int r) {
+  par_rows(y.rows(), y.size(), [&](int r) {
     float* row = y.row(r);
     for (int c = 0; c < y.cols(); ++c) row[c] += b[c];
   });
@@ -93,7 +93,7 @@ Tensor bias_grad(const Tensor& grad) {
   Tensor g(1, grad.cols());
   // Columns are independent and each column sums rows in serial order, so
   // the column-blocked parallel path is bit-identical to the serial one.
-  par_rows("elementwise", grad.cols(), grad.size(), [&](int c) {
+  par_rows(grad.cols(), grad.size(), [&](int c) {
     float acc = 0.0f;
     for (int r = 0; r < grad.rows(); ++r) acc += grad.at(r, c);
     g.at(0, c) = acc;
@@ -107,7 +107,7 @@ void add_inplace(Tensor& a, const Tensor& b, float scale) {
                                        << b.shape_str());
   float* pa = a.data();
   const float* pb = b.data();
-  par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pa[i] += scale * pb[i];
   });
 }
@@ -124,7 +124,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pc[i] = pa[i] * pb[i];
   });
   return c;
@@ -132,7 +132,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 
 void scale_inplace(Tensor& a, float s) {
   float* pa = a.data();
-  par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pa[i] *= s;
   });
 }
@@ -141,7 +141,7 @@ Tensor relu(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   const float* px = x.data();
   float* py = y.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) py[i] = px[i] > 0.0f ? px[i] : 0.0f;
   });
   return y;
@@ -153,7 +153,7 @@ Tensor relu_grad(const Tensor& dy, const Tensor& x) {
   const float* pdy = dy.data();
   const float* px = x.data();
   float* pdx = dx.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
       pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
   });
@@ -164,7 +164,7 @@ Tensor sigmoid(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   const float* px = x.data();
   float* py = y.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
       py[i] = sigmoid(px[i]);
   });
@@ -177,7 +177,7 @@ Tensor sigmoid_grad(const Tensor& dy, const Tensor& y) {
   const float* pdy = dy.data();
   const float* py = y.data();
   float* pdx = dx.data();
-  par_elems("elementwise", y.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(y.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
       pdx[i] = sigmoid_grad(pdy[i], py[i]);
   });
@@ -188,7 +188,7 @@ Tensor tanh(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   const float* px = x.data();
   float* py = y.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) py[i] = std::tanh(px[i]);
   });
   return y;
@@ -200,7 +200,7 @@ Tensor tanh_grad(const Tensor& dy, const Tensor& y) {
   const float* pdy = dy.data();
   const float* py = y.data();
   float* pdx = dx.data();
-  par_elems("elementwise", y.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(y.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
       pdx[i] = tanh_grad(pdy[i], py[i]);
   });
@@ -210,7 +210,7 @@ Tensor tanh_grad(const Tensor& dy, const Tensor& y) {
 Tensor concat_cols(const Tensor& a, const Tensor& b) {
   PIPAD_CHECK_MSG(a.rows() == b.rows(), "concat_cols row mismatch");
   Tensor c(a.rows(), a.cols() + b.cols());
-  par_rows("elementwise", a.rows(), c.size(), [&](int r) {
+  par_rows(a.rows(), c.size(), [&](int r) {
     float* crow = c.row(r);
     std::copy(a.row(r), a.row(r) + a.cols(), crow);
     std::copy(b.row(r), b.row(r) + b.cols(), crow + a.cols());
@@ -222,7 +222,7 @@ std::pair<Tensor, Tensor> split_cols(const Tensor& ab, int a_cols) {
   PIPAD_CHECK_MSG(a_cols >= 0 && a_cols <= ab.cols(), "split_cols bad split");
   Tensor a(ab.rows(), a_cols);
   Tensor b(ab.rows(), ab.cols() - a_cols);
-  par_rows("elementwise", ab.rows(), ab.size(), [&](int r) {
+  par_rows(ab.rows(), ab.size(), [&](int r) {
     const float* src = ab.row(r);
     std::copy(src, src + a_cols, a.row(r));
     std::copy(src + a_cols, src + ab.cols(), b.row(r));
@@ -234,7 +234,7 @@ Tensor slice_cols(const Tensor& t, int start, int len) {
   PIPAD_CHECK_MSG(start >= 0 && len >= 0 && start + len <= t.cols(),
                   "slice_cols out of range");
   Tensor out(t.rows(), len);
-  par_rows("elementwise", t.rows(), out.size(), [&](int r) {
+  par_rows(t.rows(), out.size(), [&](int r) {
     const float* src = t.row(r) + start;
     std::copy(src, src + len, out.row(r));
   });
@@ -245,7 +245,7 @@ void add_into_cols(Tensor& dst, const Tensor& src, int start) {
   PIPAD_CHECK_MSG(dst.rows() == src.rows() &&
                       start + src.cols() <= dst.cols(),
                   "add_into_cols shape mismatch");
-  par_rows("elementwise", dst.rows(), src.size(), [&](int r) {
+  par_rows(dst.rows(), src.size(), [&](int r) {
     float* d = dst.row(r) + start;
     const float* s = src.row(r);
     for (int c = 0; c < src.cols(); ++c) d[c] += s[c];

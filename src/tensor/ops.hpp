@@ -17,15 +17,14 @@
 
 namespace pipad::ops {
 
-/// Run fn(r) for every row r in [0, rows) as one ComputePool region named
-/// `name`. The block layout depends on rows and total_work only, so a fn
+/// Run fn(r) for every row r in [0, rows) as one ComputePool region. The
+/// block layout depends on rows and total_work only, so a fn
 /// that computes each row on its own gives bit-identical results for any
 /// pool width. The ops below and the fused recurrent-cell passes use it.
 template <typename F>
-inline void par_rows(const char* name, int rows, std::size_t total_work,
-                     const F& fn) {
+inline void par_rows(int rows, std::size_t total_work, const F& fn) {
   ComputePool::instance().for_blocks(
-      name, static_cast<std::size_t>(rows), total_work,
+      static_cast<std::size_t>(rows), total_work,
       [&fn](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) fn(static_cast<int>(r));
       });

@@ -224,8 +224,8 @@ TEST(AnalyzePasses, PrepBoundSilentWhenPrepOverlapsTraining) {
 TEST(AnalyzePasses, ComputeImbalanceFiresOnSkewedLanes) {
   Timeline tl;
   tl.set_worker_lanes(2);
-  tl.submit_worker(0, "compute:gemm", 80.0);
-  tl.submit_worker(1, "compute:gemm", 10.0);
+  tl.submit_worker(0, "prep:overlap-extract", 80.0);
+  tl.submit_worker(1, "prep:overlap-extract", 10.0);
   const auto a = analyze_timeline(tl);
   const auto* f = find_pass(a, "compute_imbalance");
   ASSERT_NE(f, nullptr);
@@ -239,8 +239,8 @@ TEST(AnalyzePasses, ComputeImbalanceFiresOnSkewedLanes) {
 TEST(AnalyzePasses, ComputeImbalanceSilentOnBalancedLanes) {
   Timeline tl;
   tl.set_worker_lanes(2);
-  tl.submit_worker(0, "compute:gemm", 50.0);
-  tl.submit_worker(1, "compute:gemm", 48.0);
+  tl.submit_worker(0, "prep:overlap-extract", 50.0);
+  tl.submit_worker(1, "prep:overlap-extract", 48.0);
   EXPECT_EQ(find_pass(analyze_timeline(tl), "compute_imbalance"), nullptr);
 }
 
@@ -330,7 +330,7 @@ TEST(AnalyzeTrace, CsvRoundTripYieldsIdenticalAnalysis) {
   tl.wait_event(0, e);
   tl.submit(0, Resource::Compute, "kernel:agg", 10.0 / 3.0);
   tl.submit_worker(0, "prep:we\"ird,name", 7.77);  // CSV-hostile name.
-  tl.submit_worker(1, "compute:gemm", 3.3, 0.0, /*steals=*/5, /*blocks=*/32);
+  tl.submit_worker(1, "prep:profiling", 3.3);
   tl.submit(s, Resource::D2H, "d2h:loss", 1.0 / 7.0, 0.0, 8);
 
   auto live = analyze::from_timeline(tl);
@@ -342,11 +342,9 @@ TEST(AnalyzeTrace, CsvRoundTripYieldsIdenticalAnalysis) {
   std::istringstream in(csv.str());
   const auto reread = analyze::read_trace_csv(in, "<mem>");
 
-  // The v2 steals/blocks columns survive the round trip.
   ASSERT_EQ(reread.records.size(), live.records.size());
   for (std::size_t i = 0; i < live.records.size(); ++i) {
-    EXPECT_EQ(reread.records[i].steals, live.records[i].steals) << i;
-    EXPECT_EQ(reread.records[i].blocks, live.records[i].blocks) << i;
+    EXPECT_EQ(reread.records[i].lane, live.records[i].lane) << i;
   }
 
   const auto a1 = analyze::analyze_trace(live);
@@ -364,17 +362,17 @@ TEST(AnalyzeTrace, ReaderRejectsMalformedInput) {
     return analyze::read_trace_csv(in, "<mem>");
   };
   const std::string header =
-      "name,resource,stream,start_us,end_us,bytes,lane,steals,blocks\n";
+      "name,resource,stream,start_us,end_us,bytes,lane\n";
   EXPECT_THROW(parse(""), Error);
-  EXPECT_THROW(parse(header + "k,warp,0,0,1,0,0,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,5,1,0,0,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,zero,1,0,0,0,0\n"), Error);
-  // Only the 9-field layout write_trace_csv emits parses; the old 7-field
-  // rows and 8 fields do not.
-  EXPECT_NO_THROW(parse(header + "k,compute,0,0,1,0,0,2,8\n"));
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0,2\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0,x,8\n"), Error);
+  EXPECT_THROW(parse(header + "k,warp,0,0,1,0,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,5,1,0,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,zero,1,0,0\n"), Error);
+  // Only the 7-field layout write_trace_csv emits parses; the old 9-field
+  // rows (with steals,blocks) and 6 fields do not.
+  EXPECT_NO_THROW(parse(header + "k,compute,0,0,1,0,0\n"));
+  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0,2,8\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,0,1,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,x\n"), Error);
 }
 
 // ---- determinism ---------------------------------------------------------

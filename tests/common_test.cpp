@@ -307,7 +307,7 @@ TEST(ComputePool, ForBlocksCoversRangeExactlyOnceForAnyWidth) {
     ComputePool::instance().configure(t);
     std::vector<std::atomic<int>> hits(4097);
     ComputePool::instance().for_blocks(
-        "test", hits.size(), 1 << 20, [&](std::size_t lo, std::size_t hi) {
+        hits.size(), 1 << 20, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
         });
     for (auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -320,10 +320,10 @@ TEST(ComputePool, NestedRegionFallsBackToInlineExecution) {
   // A region launched from a worker of the same pool must run inline
   // (submitting would risk deadlock) and still cover the range.
   ComputePool::instance().for_blocks(
-      "outer", 4, 1 << 20, [&](std::size_t lo, std::size_t hi) {
+      4, 1 << 20, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           ComputePool::instance().for_blocks(
-              "inner", 100, 1 << 20, [&](std::size_t l2, std::size_t h2) {
+              100, 1 << 20, [&](std::size_t l2, std::size_t h2) {
                 inner_hits.fetch_add(static_cast<int>(h2 - l2));
               });
         }
@@ -331,43 +331,26 @@ TEST(ComputePool, NestedRegionFallsBackToInlineExecution) {
   EXPECT_EQ(inner_hits.load(), 400);
 }
 
-TEST(ComputePool, MeasuredRegionsAggregateAndDrain) {
+TEST(ComputePool, StealStatsCountExecutorBlocksPerThreadAndReset) {
   auto& cp = ComputePool::instance();
   ComputePool::set_min_block_work(16384);  // Assertable block counts below.
   cp.configure(4);
-  cp.discard_regions();
-  // Real arithmetic per block so the measured thread-CPU cost is non-zero.
-  std::atomic<long long> sink{0};
-  const auto burn = [&](std::size_t lo, std::size_t hi) {
-    long long acc = 0;
-    for (std::size_t i = lo * 2000; i < hi * 2000; ++i) {
-      acc += static_cast<long long>(i) * 31;
-    }
-    sink.fetch_add(acc);
-  };
-  const std::size_t big = 1 << 20;  // Above the work floor: measured.
-  cp.for_blocks("k1", 256, big, burn);
-  cp.for_blocks("k1", 256, big, burn);
-  cp.run_serial("k2", big, [&] { burn(0, 256); });
-  // Below the threshold: runs but is not logged.
-  cp.for_blocks("k3", 16, 16, [&](std::size_t, std::size_t) {});
+  ComputePool::take_steal_stats();
+  const auto nop = [](std::size_t, std::size_t) {};
+  const std::size_t big = 1 << 20;  // Above the work floor: 32 blocks.
+  cp.for_blocks(256, big, nop);
+  cp.for_blocks(256, big, nop);
+  // Below the floor: runs inline and never reaches the executor.
+  cp.for_blocks(16, 16, nop);
+  // A region launched from another thread counts on that thread only.
+  std::thread([&] { cp.for_blocks(256, big, nop); }).join();
 
-  const auto regions = cp.drain_regions();
-  ASSERT_EQ(regions.size(), 2u);
-  EXPECT_EQ(regions.at("k1").count, 2u);
-  EXPECT_GT(regions.at("k1").total_us(), 0.0);
-  // 32 blocks placed over a 4-wide pool: every lane received work.
-  ASSERT_EQ(regions.at("k1").lanes(), 4u);
-  for (double l : regions.at("k1").lane_us) EXPECT_GT(l, 0.0);
-  // Serial region: one lane carries the whole cost.
-  EXPECT_EQ(regions.at("k2").lanes(), 1u);
-  // The executor reports what it ran: 32 blocks per "k1" region, and the
-  // serial region counts as one block with no steals possible.
-  EXPECT_EQ(regions.at("k1").blocks, 64u);
-  EXPECT_LE(regions.at("k1").steals, regions.at("k1").blocks);
-  EXPECT_EQ(regions.at("k2").blocks, 1u);
-  EXPECT_EQ(regions.at("k2").steals, 0u);
-  EXPECT_TRUE(cp.drain_regions().empty());  // Drain clears.
+  const auto st = ComputePool::take_steal_stats();
+  EXPECT_EQ(st.executed, 64u);
+  EXPECT_LE(st.stolen, st.executed);
+  const auto again = ComputePool::take_steal_stats();  // Taking resets.
+  EXPECT_EQ(again.executed, 0u);
+  EXPECT_EQ(again.stolen, 0u);
   ComputePool::set_min_block_work(0);
 }
 
@@ -375,14 +358,14 @@ TEST(ComputePool, RethrowsBlockExceptionAfterDraining) {
   auto& cp = ComputePool::instance();
   cp.configure(4);
   EXPECT_THROW(
-      cp.for_blocks("boom", 64, 1 << 20,
+      cp.for_blocks(64, 1 << 20,
                     [&](std::size_t lo, std::size_t) {
                       if (lo == 0) throw std::runtime_error("block failed");
                     }),
       std::runtime_error);
   // Pool is reusable afterwards.
   std::atomic<int> ok{0};
-  cp.for_blocks("after", 64, 1 << 20,
+  cp.for_blocks(64, 1 << 20,
                 [&](std::size_t lo, std::size_t hi) {
                   ok.fetch_add(static_cast<int>(hi - lo));
                 });

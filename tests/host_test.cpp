@@ -102,24 +102,21 @@ TEST(HostLane, ChargesMeasuredTimeToTheExecutingLane) {
   gpusim::Gpu gpu;
   host::HostLane lane(gpu, 2);
   std::atomic<int> ran{0};
-  const auto batch = lane.run("job", 8, [&](std::size_t) {
+  lane.run("job", 8, [&](std::size_t) {
     // Enough real work to measure (> 0 us on any clock).
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ran.fetch_add(1);
   });
   EXPECT_EQ(ran.load(), 8);
-  ASSERT_EQ(batch.job_end_us.size(), 8u);
-  for (double e : batch.job_end_us) {
-    EXPECT_GT(e, 0.0);
-    EXPECT_LE(e, batch.end_us);
-  }
-  // Every op landed on the CpuWorker resource with a valid lane and the
-  // measured (non-zero) duration.
+  // Every job landed as one prep: op on the CpuWorker resource with a
+  // valid lane and the measured (non-zero) duration.
   int prep_ops = 0;
   for (const auto& rec : gpu.timeline().records()) {
     ASSERT_EQ(rec.resource, Resource::CpuWorker);
+    EXPECT_EQ(rec.name, "prep:job");
     EXPECT_LT(rec.lane, 2u);
     EXPECT_GT(rec.end_us - rec.start_us, 0.0);
+    EXPECT_LE(rec.end_us, gpu.timeline().makespan());
     ++prep_ops;
   }
   EXPECT_EQ(prep_ops, 8);
@@ -142,9 +139,7 @@ TEST(HostLane, JobsOverlapAcrossLanes) {
 TEST(HostLane, EmptyBatchIsANoOp) {
   gpusim::Gpu gpu;
   host::HostLane lane(gpu, 2);
-  const auto batch = lane.run("job", 0, [&](std::size_t) { FAIL(); }, 5.0);
-  EXPECT_EQ(batch.job_end_us.size(), 0u);
-  EXPECT_NEAR(batch.end_us, 5.0, 1e-9);
+  lane.run("job", 0, [&](std::size_t) { FAIL(); });
   EXPECT_TRUE(gpu.timeline().records().empty());
 }
 

@@ -181,9 +181,11 @@ TEST(Pipad, BaselineLossesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Pipad, ComputeChargedToWorkerLanes) {
-  // The measured numeric kernels must land on the timeline as compute:*
-  // worker-lane ops once the workload clears the charge threshold.
+TEST(Pipad, WorkerLanesCarryOnlyHostPrep) {
+  // Kernels are priced on the simulated device only: the worker lanes hold
+  // measured host prep (prep:*) and nothing else, so prep_us is exactly the
+  // prep ops' time. The workload clears the region work floor, so kernels
+  // do run on the 4-wide pool.
   const auto g = graph::generate(testutil::tiny_config(512, 10, 8));
   gpusim::Gpu gpu;
   PipadOptions opts;
@@ -191,9 +193,19 @@ TEST(Pipad, ComputeChargedToWorkerLanes) {
   auto cfg = small_cfg(ModelType::TGcn);
   cfg.hidden_dim = 16;
   PipadTrainer pip(gpu, g, cfg, opts);
-  pip.train();
-  EXPECT_GT(gpu.timeline().busy_us_with_prefix("compute:"), 0.0);
-  EXPECT_GT(gpu.timeline().busy_us_with_prefix("compute:gemm"), 0.0);
+  const auto r = pip.train();
+  double prep_ops_us = 0.0;
+  int compute_ops = 0;
+  for (const auto& rec : gpu.timeline().records()) {
+    if (rec.resource != gpusim::Resource::CpuWorker) continue;
+    if (rec.name.rfind("compute:", 0) == 0) ++compute_ops;
+    if (rec.name.rfind("prep:", 0) == 0) {
+      prep_ops_us += rec.end_us - rec.start_us;
+    }
+  }
+  EXPECT_EQ(compute_ops, 0);
+  EXPECT_GT(r.prep_us, 0.0);
+  EXPECT_NEAR(r.prep_us, prep_ops_us, 1e-9 * r.prep_us);
 }
 
 TEST(Pipad, TunerPicksFromConfiguredOptions) {
